@@ -145,8 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"slice cache directory (env {CACHE_ENV})")
         p.add_argument("--memory-budget", default="2G",
                        help="builder memory budget, e.g. 512M or 2G (default 2G)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are identical for any value")
 
     p_compute = sub.add_parser("compute", help="invariant homology of an action")
     common(p_compute)
@@ -178,13 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_ok(value: int) -> None:
-    if value < 1:
-        raise SpecParseError("--threads must be at least 1")
-
-
 def cmd_compute(args) -> int:
-    _threads_ok(args.threads)
     budget = _parse_budget(args.memory_budget)
     coeff = _parse_coeff(args.coeff)
     g = parse_group_spec(args.group)
@@ -245,7 +237,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_classical(args) -> int:
-    _threads_ok(args.threads)
     budget = _parse_budget(args.memory_budget)
     coeff = _parse_coeff(args.coeff)
     g = parse_group_spec(args.group)
@@ -268,7 +259,6 @@ def cmd_classical(args) -> int:
 
 
 def cmd_info(args) -> int:
-    _threads_ok(args.threads)
     g = parse_group_spec(args.group)
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1

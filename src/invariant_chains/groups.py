@@ -131,9 +131,6 @@ class GroupAction:
         ident = tuple(self.g.elements())
         return all(p == ident for p in self.perm)
 
-    def fingerprint(self) -> str:
-        return f"{self.q.name}|{self.g.name}|{hash(self.perm) & 0xFFFFFFFF:08x}"
-
     def __repr__(self):
         return f"GroupAction({self.q.name} on {self.g.name})"
 
@@ -356,10 +353,6 @@ def coset_representatives(g: FiniteGroup, k: Subgroup) -> list[int]:
         for a in k.members:
             seen[g.mul(a, x)] = True
     return reps
-
-
-def coset_of(g: FiniteGroup, k: Subgroup, x: int) -> tuple[int, ...]:
-    return tuple(sorted(g.mul(a, x) for a in k.members))
 
 
 def is_q_stable(action: GroupAction, k: Subgroup) -> bool:

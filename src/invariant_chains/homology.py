@@ -3,12 +3,16 @@
 Integral homology at degree n is read off exactly: the free rank is
 dim C_n - rank d_n - rank d_{n+1}, and the torsion coefficients are the
 nonunit invariant factors of d_{n+1} (the torsion of C_n/B_n, which equals
-that of Z_n/B_n because C_n/Z_n is free).  Generator data is materialized
-lazily per degree: a saturated kernel basis, the presentation of the
-quotient in kernel coordinates, and a reducer carrying any cycle vector to
-homology coordinates.  Mod-p homology is computed by field elimination;
-for composite m the universal-coefficient formula on the integral profile
-is used.  For prime coefficients both routes run and must agree.
+that of Z_n/B_n because C_n/Z_n is free).  Mod-p homology comes from ranks
+of the boundaries mod p; for composite m the universal-coefficient formula
+on the integral profile is used.  For prime coefficients both routes run
+and must agree.
+
+Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
+in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
+the boundaries in cycle coordinates are rows r: of V^-1*d_{n+1}, and their
+presentation gives the homology generators and a reducer that carries the
+cycle coordinates (V^-1*v)[r:] of a cycle v to homology coordinates.
 """
 
 from __future__ import annotations
@@ -17,37 +21,24 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chains import ChainMap, ComplexSlice, InvariantSES
+from .chains import ChainMap, ComplexSlice, InvariantSES, _is_prime
 from .errors import InternalCheckError
 from .groups import GroupAction
-from .linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup, FgSubgroup, FieldEchelon,
-                     FieldRowSpace, SparseIntMatrix, fixed_points_of_hom_family,
-                     image_of_hom, invariant_factors, kernel_of_hom, present_fg_abelian,
-                     rank_mod_p)
+from .linalg import (AbelianHom, FgAbelianGroup, FgSubgroup, SparseIntMatrix, _SnfEngine,
+                     fixed_points_of_hom_family, image_of_hom, invariant_factors,
+                     kernel_of_hom, present_fg_abelian, rank_mod_p)
 
 COEFF_Z = 0
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
-
-
 @dataclass
-class _IntBundle:
-    kernel: SparseIntMatrix
-    ech_kernel: ColumnEchelon
-    presented: FgAbelianGroup
+class _Bundle:
+    """Generator data at one degree, from U*d_n*V = D of rank r."""
 
-
-@dataclass
-class _FieldBundle:
-    kernel: SparseIntMatrix
-    ech_kernel: FieldEchelon
-    image_space: FieldRowSpace
-    free_coords: list[int]
-    group: FgAbelianGroup
+    rank: int
+    cycles: SparseIntMatrix  # V[:, r:]
+    v_inv: SparseIntMatrix  # V^-1; rows r: give cycle coordinates
+    presented: FgAbelianGroup  # cycles modulo boundaries, in cycle coordinates
 
 
 class HomologyProfile:
@@ -76,8 +67,7 @@ class HomologyProfile:
 
         self._groups: dict[int, FgAbelianGroup] = {}
         self._int_factors: dict[int, tuple[int, ...]] = {}
-        self._int_bundles: dict[int, _IntBundle] = {}
-        self._field_bundles: dict[int, _FieldBundle] = {}
+        self._bundles: dict[int, _Bundle] = {}
         self.uct_groups: dict[int, FgAbelianGroup] = {}
         # the integral profile backing UCT computations (shared via homology())
         self._integral: HomologyProfile | None = None
@@ -140,86 +130,54 @@ class HomologyProfile:
 
     # -- generator data -----------------------------------------------------
 
-    def _int_bundle(self, n: int) -> _IntBundle:
-        if n not in self._int_bundles:
+    def _bundle(self, n: int) -> _Bundle:
+        if self.mode == "uct":
+            raise ValueError("no generator data for composite coefficients")
+        if n not in self._bundles:
+            mod = self.coeff
             d_n = self.slice.d(n)
-            kernel = ColumnEchelon(d_n).kernel_matrix()
-            ech_kernel = ColumnEchelon(kernel)
-            d_up = self.slice.d(n + 1)
-            x_cols = []
-            for c in range(d_up.cols):
-                col = dict(d_up.column(c))
-                sol = ech_kernel.solve(col)
-                if sol is None:
+            eng = _SnfEngine(d_n, mod, want_v=True, want_v_inv=True)
+            r = len(eng.diag)
+            k = d_n.cols - r
+            v_inv = eng.v_inv.to_matrix(d_n.cols, d_n.cols, by_rows=True)
+            bounds = v_inv.mul(self.slice.d(n + 1))
+            if mod:
+                bounds = bounds.to_mod(mod)
+            relations = {}
+            for (i, c), v in bounds.entries.items():
+                if i < r:
                     raise InternalCheckError("boundary column is not a cycle")
-                x_cols.append({i: v for i, v in enumerate(sol) if v})
-            x = SparseIntMatrix.from_columns(kernel.cols, x_cols)
-            presented = present_fg_abelian(kernel.cols, x)
+                relations[(i - r, c)] = v
+            presented = present_fg_abelian(k, SparseIntMatrix(k, bounds.cols, relations), mod)
             if FgAbelianGroup(presented.free_rank, presented.torsion) != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "
                     f"rank/torsion computation")
-            self._int_bundles[n] = _IntBundle(kernel, ech_kernel, presented)
-        return self._int_bundles[n]
-
-    def _field_bundle(self, n: int) -> _FieldBundle:
-        if n not in self._field_bundles:
-            p = self.coeff
-            d_n = self.slice.d(n).to_mod(p)
-            kernel = FieldEchelon(d_n, p).kernel_matrix()
-            ech_kernel = FieldEchelon(kernel, p)
-            space = FieldRowSpace(p)
-            d_up = self.slice.d(n + 1).to_mod(p)
-            for c in range(d_up.cols):
-                col = dict(d_up.column(c))
-                sol = ech_kernel.solve(col)
-                if sol is None:
-                    raise InternalCheckError("boundary column is not a cycle mod p")
-                space.add({i: v for i, v in enumerate(sol) if v})
-            free_coords = [i for i in range(kernel.cols) if i not in space.rows]
-            group = FgAbelianGroup(0, (p,) * len(free_coords))
-            if group != self._groups[n]:
-                raise InternalCheckError(
-                    f"mod-{p} generator data at degree {n} disagrees with ranks")
-            self._field_bundles[n] = _FieldBundle(kernel, ech_kernel, space,
-                                                  free_coords, group)
-        return self._field_bundles[n]
+            cycles = SparseIntMatrix.from_columns(d_n.cols, eng.v.lines[r:])
+            self._bundles[n] = _Bundle(r, cycles, v_inv, presented)
+        return self._bundles[n]
 
     def generators(self, n: int) -> list[list[int]]:
         """Explicit generating cycle vectors in the chain basis at degree n."""
         self.group(n)
-        if self.mode == "int":
-            bundle = self._int_bundle(n)
-            return [bundle.kernel.mul_vec(list(g)) for g in bundle.presented.gens]
-        if self.mode == "field":
-            bundle = self._field_bundle(n)
-            out = []
-            for i in bundle.free_coords:
-                vec = [0] * self.slice.sizes[n]
-                for r, v in bundle.kernel.column(i):
-                    vec[r] = v
-                out.append(vec)
-            return out
-        raise ValueError("no generator data for composite coefficients")
+        bundle = self._bundle(n)
+        mod = self.coeff
+        out = []
+        for g in bundle.presented.gens:
+            vec = bundle.cycles.mul_vec(list(g))
+            out.append([x % mod for x in vec] if mod else vec)
+        return out
 
     def reduce(self, n: int, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle vector in the homology basis at degree n."""
         self.group(n)
-        if self.mode == "int":
-            bundle = self._int_bundle(n)
-            sol = bundle.ech_kernel.solve(list(vec))
-            if sol is None:
-                raise InternalCheckError("vector to reduce is not a cycle")
-            return bundle.presented.reduce(sol)
-        if self.mode == "field":
-            p = self.coeff
-            bundle = self._field_bundle(n)
-            sol = bundle.ech_kernel.solve([v % p for v in vec])
-            if sol is None:
-                raise InternalCheckError("vector to reduce is not a cycle mod p")
-            red = bundle.image_space.reduce({i: v for i, v in enumerate(sol) if v})
-            return tuple(red.get(i, 0) for i in bundle.free_coords)
-        raise ValueError("no generator data for composite coefficients")
+        bundle = self._bundle(n)
+        w = bundle.v_inv.mul_vec(list(vec))
+        if self.coeff:
+            w = [x % self.coeff for x in w]
+        if any(w[:bundle.rank]):
+            raise InternalCheckError(f"vector to reduce is not a cycle over {self.coeff_str}")
+        return bundle.presented.reduce(w[bundle.rank:])
 
     # -- reporting ----------------------------------------------------------
 

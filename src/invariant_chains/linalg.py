@@ -1,16 +1,16 @@
-"""Exact sparse integer linear algebra.
+"""Exact sparse linear algebra over Z and Z/p.
 
-Everything here works over arbitrary-precision integers (or, where noted, the
-prime field Z/p).  The module provides:
+One elimination routine does all the work: a sparse Smith normal form
+U*M*V = D over Z or over Z/p, p prime, that carries whichever of U, U^-1, V
+and V^-1 its caller asks for.  Everything else is read off it:
 
-  * SparseIntMatrix        -- immutable sparse matrix with exact entries
-  * smith_normal_form      -- SNF with unimodular transforms u*M*v = diag(s)
-  * kernel_basis           -- saturated basis of the integer kernel lattice
-  * solve_in_lattice       -- membership/solution in a column lattice
-  * present_fg_abelian     -- invariant-factor presentation of Z^r / relations
+  * smith_normal_form, invariant_factors -- the Smith form over Z
+  * rank_mod_p             -- the rank of M mod p, by its own elimination mod p
+  * kernel_basis           -- V[:, r:], a saturated basis of the kernel lattice
+  * solve_in_lattice       -- U*b divided by the invariant factors, then times V
+  * present_fg_abelian     -- invariant-factor presentation of R^k / relations
   * FgAbelianGroup, AbelianHom, FgSubgroup  -- finitely generated abelian
     groups with generator data, homomorphisms, kernels/images/fixed points
-  * FieldEchelon etc.      -- the mod-p counterparts used for rank cross-checks
 
 Pivoting is deterministic: structural (Markowitz-style minimal fill) with
 minimal-magnitude and lowest-index tie-breaks, so results are reproducible
@@ -206,401 +206,171 @@ class SparseIntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# mutable workspaces for elimination
+# the elimination workspace
 
 
-class _Cols:
-    """Column-major elimination workspace (optionally over Z/p)."""
+class _Lines:
+    """Mutable sparse matrix stored as one dict per line, over Z or Z/mod.
 
-    __slots__ = ("cols", "row_index", "mod")
+    A line is a row or a column, whichever the owner chooses; `cross[j]` is
+    the set of lines with an entry at position j.  Line operations edit the
+    line dicts directly, cross operations act on positions through the index.
+    The engine keeps its working matrix by rows, so its row operations are
+    line operations and its column operations cross operations; each
+    transform is kept so that the operations it receives are line operations.
+    """
 
-    def __init__(self, ncols: int, mod: int = 0):
-        self.cols: list[dict[int, int]] = [dict() for _ in range(ncols)]
-        self.row_index: dict[int, set[int]] = defaultdict(set)
+    __slots__ = ("lines", "cross", "mod")
+
+    def __init__(self, n: int, mod: int = 0):
+        self.lines: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.cross: dict[int, set[int]] = defaultdict(set)
         self.mod = mod
 
     @classmethod
-    def from_matrix(cls, m: SparseIntMatrix, mod: int = 0) -> "_Cols":
-        ws = cls(m.cols, mod)
-        for (r, c), v in m.entries.items():
-            if mod:
-                v %= mod
-                if not v:
-                    continue
-            ws.cols[c][r] = v
-            ws.row_index[r].add(c)
-        return ws
-
-    @classmethod
-    def identity(cls, n: int, mod: int = 0) -> "_Cols":
+    def identity(cls, n: int, mod: int = 0) -> "_Lines":
         ws = cls(n, mod)
         for i in range(n):
-            ws.cols[i][i] = 1
-            ws.row_index[i].add(i)
+            ws.lines[i][i] = 1
+            ws.cross[i].add(i)
         return ws
 
+    def to_matrix(self, rows: int, cols: int, by_rows: bool) -> SparseIntMatrix:
+        return SparseIntMatrix(rows, cols, {
+            ((i, j) if by_rows else (j, i)): v
+            for i, line in enumerate(self.lines) for j, v in line.items()})
+
+    # line operations -----------------------------------------------------
+
     def axpy(self, src: int, dst: int, k: int) -> None:
-        # col[dst] += k * col[src]
+        # line[dst] += k * line[src]
         if not k:
             return
-        cd = self.cols[dst]
-        ri = self.row_index
+        ld = self.lines[dst]
+        cross = self.cross
         mod = self.mod
-        for r, v in self.cols[src].items():
-            nv = cd.get(r, 0) + k * v
+        for j, v in self.lines[src].items():
+            nv = ld.get(j, 0) + k * v
             if mod:
                 nv %= mod
             if nv:
-                if r not in cd:
-                    ri[r].add(dst)
-                cd[r] = nv
-            elif r in cd:
-                del cd[r]
-                ri[r].discard(dst)
+                if j not in ld:
+                    cross[j].add(dst)
+                ld[j] = nv
+            elif j in ld:
+                del ld[j]
+                cross[j].discard(dst)
 
-    def combine(self, ci: int, cj: int, x: int, y: int, z: int, w: int) -> None:
-        # (col[ci], col[cj]) <- (x*ci + y*cj, z*ci + w*cj)
-        a, b = self.cols[ci], self.cols[cj]
+    def combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+        # (line[i], line[j]) <- (x*line[i] + y*line[j], z*line[i] + w*line[j])
+        a, b = self.lines[i], self.lines[j]
         mod = self.mod
         na: dict[int, int] = {}
         nb: dict[int, int] = {}
-        for r in a.keys() | b.keys():
-            va = a.get(r, 0)
-            vb = b.get(r, 0)
+        touched = a.keys() | b.keys()
+        for c in touched:
+            va = a.get(c, 0)
+            vb = b.get(c, 0)
             va2 = x * va + y * vb
             vb2 = z * va + w * vb
             if mod:
                 va2 %= mod
                 vb2 %= mod
             if va2:
-                na[r] = va2
+                na[c] = va2
             if vb2:
-                nb[r] = vb2
-        ri = self.row_index
-        for r in a.keys() | b.keys():
-            ri[r].discard(ci)
-            ri[r].discard(cj)
-        for r in na:
-            ri[r].add(ci)
-        for r in nb:
-            ri[r].add(cj)
-        self.cols[ci] = na
-        self.cols[cj] = nb
+                nb[c] = vb2
+        cross = self.cross
+        for c in touched:
+            cross[c].discard(i)
+            cross[c].discard(j)
+        for c in na:
+            cross[c].add(i)
+        for c in nb:
+            cross[c].add(j)
+        self.lines[i] = na
+        self.lines[j] = nb
 
     def swap(self, i: int, j: int) -> None:
         if i == j:
             return
-        ki = set(self.cols[i])
-        kj = set(self.cols[j])
-        self.cols[i], self.cols[j] = self.cols[j], self.cols[i]
-        ri = self.row_index
-        for r in ki - kj:
-            ri[r].discard(i)
-            ri[r].add(j)
-        for r in kj - ki:
-            ri[r].discard(j)
-            ri[r].add(i)
-
-    def scale(self, c: int, s: int) -> None:
-        col = self.cols[c]
-        mod = self.mod
-        if mod:
-            dead = []
-            for r in col:
-                v = (col[r] * s) % mod
-                if v:
-                    col[r] = v
-                else:
-                    dead.append(r)
-            for r in dead:
-                del col[r]
-                self.row_index[r].discard(c)
-        else:
-            for r in col:
-                col[r] *= s
-
-    def to_matrix(self, nrows: int) -> SparseIntMatrix:
-        entries = {}
-        for c, col in enumerate(self.cols):
-            for r, v in col.items():
-                entries[(r, c)] = v
-        return SparseIntMatrix(nrows, len(self.cols), entries)
-
-
-class _Rows:
-    """Row-major workspace with a column index; supports row and column ops."""
-
-    __slots__ = ("rows", "col_index")
-
-    def __init__(self, nrows: int):
-        self.rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
-        self.col_index: dict[int, set[int]] = defaultdict(set)
-
-    @classmethod
-    def from_matrix(cls, m: SparseIntMatrix) -> "_Rows":
-        ws = cls(m.rows)
-        for (r, c), v in m.entries.items():
-            ws.rows[r][c] = v
-            ws.col_index[c].add(r)
-        return ws
-
-    @classmethod
-    def identity(cls, n: int) -> "_Rows":
-        ws = cls(n)
-        for i in range(n):
-            ws.rows[i][i] = 1
-            ws.col_index[i].add(i)
-        return ws
-
-    # row operations ------------------------------------------------------
-
-    def row_axpy(self, src: int, dst: int, k: int) -> None:
-        if not k:
-            return
-        rd = self.rows[dst]
-        ci = self.col_index
-        for c, v in self.rows[src].items():
-            nv = rd.get(c, 0) + k * v
-            if nv:
-                if c not in rd:
-                    ci[c].add(dst)
-                rd[c] = nv
-            elif c in rd:
-                del rd[c]
-                ci[c].discard(dst)
-
-    def row_combine(self, ri_: int, rj: int, x: int, y: int, z: int, w: int) -> None:
-        a, b = self.rows[ri_], self.rows[rj]
-        na: dict[int, int] = {}
-        nb: dict[int, int] = {}
-        for c in a.keys() | b.keys():
-            va = a.get(c, 0)
-            vb = b.get(c, 0)
-            va2 = x * va + y * vb
-            vb2 = z * va + w * vb
-            if va2:
-                na[c] = va2
-            if vb2:
-                nb[c] = vb2
-        ci = self.col_index
-        for c in a.keys() | b.keys():
-            ci[c].discard(ri_)
-            ci[c].discard(rj)
-        for c in na:
-            ci[c].add(ri_)
-        for c in nb:
-            ci[c].add(rj)
-        self.rows[ri_] = na
-        self.rows[rj] = nb
-
-    def row_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        ki = set(self.rows[i])
-        kj = set(self.rows[j])
-        self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
-        ci = self.col_index
+        ki = set(self.lines[i])
+        kj = set(self.lines[j])
+        self.lines[i], self.lines[j] = self.lines[j], self.lines[i]
+        cross = self.cross
         for c in ki - kj:
-            ci[c].discard(i)
-            ci[c].add(j)
+            cross[c].discard(i)
+            cross[c].add(j)
         for c in kj - ki:
-            ci[c].discard(j)
-            ci[c].add(i)
+            cross[c].discard(j)
+            cross[c].add(i)
 
-    def row_scale(self, r: int, s: int) -> None:
-        row = self.rows[r]
-        for c in row:
-            row[c] *= s
+    def negate(self, i: int) -> None:
+        line = self.lines[i]
+        for c in line:
+            line[c] = -line[c]
 
-    # column operations ---------------------------------------------------
+    # cross operations ----------------------------------------------------
 
-    def col_axpy(self, src: int, dst: int, k: int) -> None:
+    def cross_axpy(self, src: int, dst: int, k: int) -> None:
+        # position dst += k * position src, in every line
         if not k:
             return
-        ci = self.col_index
-        for r in list(ci.get(src, ())):
-            v = self.rows[r][src]
-            row = self.rows[r]
-            nv = row.get(dst, 0) + k * v
+        cross = self.cross
+        mod = self.mod
+        for r in list(cross.get(src, ())):
+            line = self.lines[r]
+            nv = line.get(dst, 0) + k * line[src]
+            if mod:
+                nv %= mod
             if nv:
-                if dst not in row:
-                    ci[dst].add(r)
-                row[dst] = nv
-            elif dst in row:
-                del row[dst]
-                ci[dst].discard(r)
+                if dst not in line:
+                    cross[dst].add(r)
+                line[dst] = nv
+            elif dst in line:
+                del line[dst]
+                cross[dst].discard(r)
 
-    def col_combine(self, cic: int, cj: int, x: int, y: int, z: int, w: int) -> None:
-        ci = self.col_index
-        touched = set(ci.get(cic, ())) | set(ci.get(cj, ()))
-        for r in touched:
-            row = self.rows[r]
-            va = row.get(cic, 0)
-            vb = row.get(cj, 0)
+    def cross_combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+        cross = self.cross
+        mod = self.mod
+        for r in cross.get(i, set()) | cross.get(j, set()):
+            line = self.lines[r]
+            va = line.get(i, 0)
+            vb = line.get(j, 0)
             va2 = x * va + y * vb
             vb2 = z * va + w * vb
-            for c, nv in ((cic, va2), (cj, vb2)):
+            if mod:
+                va2 %= mod
+                vb2 %= mod
+            for c, nv in ((i, va2), (j, vb2)):
                 if nv:
-                    if c not in row:
-                        ci[c].add(r)
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-                    ci[c].discard(r)
+                    if c not in line:
+                        cross[c].add(r)
+                    line[c] = nv
+                elif c in line:
+                    del line[c]
+                    cross[c].discard(r)
 
-    def col_swap(self, i: int, j: int) -> None:
+    def cross_swap(self, i: int, j: int) -> None:
         if i == j:
             return
-        ci = self.col_index
-        touched = set(ci.get(i, ())) | set(ci.get(j, ()))
+        cross = self.cross
+        touched = cross.get(i, set()) | cross.get(j, set())
         for r in touched:
-            row = self.rows[r]
-            vi = row.pop(i, 0)
-            vj = row.pop(j, 0)
+            line = self.lines[r]
+            vi = line.pop(i, 0)
+            vj = line.pop(j, 0)
             if vj:
-                row[i] = vj
+                line[i] = vj
             if vi:
-                row[j] = vi
-        ci[i] = {r for r in touched if i in self.rows[r]}
-        ci[j] = {r for r in touched if j in self.rows[r]}
-
-    def col_scale(self, c: int, s: int) -> None:
-        for r in self.col_index.get(c, ()):
-            self.rows[r][c] *= s
-
-    def to_matrix(self, ncols: int) -> SparseIntMatrix:
-        entries = {}
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                entries[(r, c)] = v
-        return SparseIntMatrix(len(self.rows), ncols, entries)
+                line[j] = vi
+        cross[i] = {r for r in touched if i in self.lines[r]}
+        cross[j] = {r for r in touched if j in self.lines[r]}
 
 
 # ---------------------------------------------------------------------------
-# column echelon form over Z: kernels, rank, lattice solves
-
-
-class ColumnEchelon:
-    """Integer column echelon form M*V = H by unimodular column operations.
-
-    Pivot rows are strictly increasing and every non-pivot column entry at a
-    pivot row is cleared, so lattice membership reduces to forced divisions.
-    The zero columns of H correspond to a saturated basis of ker(M).
-    """
-
-    def __init__(self, m: SparseIntMatrix, want_transform: bool = True):
-        self.nrows = m.rows
-        self.ncols = m.cols
-        ws = _Cols.from_matrix(m)
-        v = _Cols.identity(m.cols) if want_transform else None
-        pivots: list[tuple[int, int]] = []
-        front = 0
-        for r in range(m.rows):
-            live = sorted(c for c in ws.row_index.get(r, ()) if c >= front)
-            if not live:
-                continue
-            # gcd cascade: leave a single nonzero in this row among live cols
-            while len(live) > 1:
-                live.sort(key=lambda c: (abs(ws.cols[c][r]), c))
-                c0 = live[0]
-                a = ws.cols[c0][r]
-                for c in live[1:]:
-                    q = ws.cols[c][r] // a
-                    if q:
-                        ws.axpy(c0, c, -q)
-                        if v is not None:
-                            v.axpy(c0, c, -q)
-                live = [c for c in live if r in ws.cols[c] and ws.cols[c].get(r)]
-            c0 = live[0]
-            if ws.cols[c0][r] < 0:
-                ws.scale(c0, -1)
-                if v is not None:
-                    v.scale(c0, -1)
-            if c0 != front:
-                ws.swap(c0, front)
-                if v is not None:
-                    v.swap(c0, front)
-            pivots.append((r, front))
-            front += 1
-        self.rank = front
-        self.pivots = pivots
-        self._h = ws
-        self._v = v
-
-    def kernel_matrix(self) -> SparseIntMatrix:
-        if self._v is None:
-            raise ValueError("echelon was computed without transform")
-        cols = []
-        for c in range(self.rank, self.ncols):
-            assert not self._h.cols[c], "nonzero column beyond rank"
-            cols.append(dict(self._v.cols[c]))
-        return SparseIntMatrix.from_columns(self.ncols, cols)
-
-    def echelon_matrix(self) -> SparseIntMatrix:
-        return self._h.to_matrix(self.nrows)
-
-    def transform_matrix(self) -> SparseIntMatrix:
-        if self._v is None:
-            raise ValueError("echelon was computed without transform")
-        return self._v.to_matrix(self.ncols)
-
-    def solve(self, b: Vector | dict[int, int]) -> list[int] | None:
-        """Solve M*x = b over Z, or return None if b is outside the lattice."""
-        if self._v is None:
-            raise ValueError("echelon was computed without transform")
-        if isinstance(b, dict):
-            res = {r: v for r, v in b.items() if v}
-        else:
-            if len(b) != self.nrows:
-                raise ValueError("vector length mismatch")
-            res = {r: v for r, v in enumerate(b) if v}
-        y: dict[int, int] = {}
-        for (pr, pc) in self.pivots:
-            val = res.get(pr)
-            if not val:
-                continue
-            piv = self._h.cols[pc][pr]
-            if val % piv:
-                return None
-            q = val // piv
-            y[pc] = q
-            for r2, w in self._h.cols[pc].items():
-                nv = res.get(r2, 0) - q * w
-                if nv:
-                    res[r2] = nv
-                else:
-                    res.pop(r2, None)
-        if res:
-            return None
-        x = [0] * self.ncols
-        for c, q in y.items():
-            for r2, w in self._v.cols[c].items():
-                x[r2] += q * w
-        return x
-
-    def solve_sparse(self, b: dict[int, int]) -> dict[int, int] | None:
-        x = self.solve(b)
-        if x is None:
-            return None
-        return {i: v for i, v in enumerate(x) if v}
-
-
-def kernel_basis(m: SparseIntMatrix) -> SparseIntMatrix:
-    """Columns form a basis of the full (saturated) integer kernel lattice."""
-    return ColumnEchelon(m).kernel_matrix()
-
-
-def rank_z(m: SparseIntMatrix) -> int:
-    return ColumnEchelon(m, want_transform=False).rank
-
-
-def solve_in_lattice(m: SparseIntMatrix, b: Vector) -> list[int] | None:
-    """Return x with m*x = b if b lies in the column lattice of m, else None."""
-    return ColumnEchelon(m).solve(b)
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
+# Smith normal form: the one elimination routine
 
 
 @dataclass(frozen=True)
@@ -616,77 +386,86 @@ class SnfResult:
 
 
 class _SnfEngine:
-    def __init__(self, m: SparseIntMatrix, want_u: bool, want_v: bool,
-                 want_u_inv: bool = False, want_v_inv: bool = False):
+    """Sparse Smith normal form U*M*V = D over Z (mod = 0) or Z/p (mod = p).
+
+    Each requested transform among U, U^-1, V and V^-1 follows every
+    elementary operation.  Over Z the diagonal is positive and a divisibility
+    chain; over Z/p, p prime, every nonzero pivot is a unit, so its entries
+    are just the nonzero pivots.  In both rings len(diag) is the rank.
+    """
+
+    def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
+                 want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False):
         self.m = m
-        self.ws = _Rows.from_matrix(m)
-        self.u = _Rows.identity(m.rows) if want_u else None
-        self.u_inv = _Cols.identity(m.rows) if want_u_inv else None
-        self.v = _Cols.identity(m.cols) if want_v else None
-        self.v_inv = _Rows.identity(m.cols) if want_v_inv else None
+        self.mod = mod
+        ws = self.ws = _Lines(m.rows, mod)
+        for (r, c), v in m.entries.items():
+            if mod:
+                v %= mod
+            if v:
+                ws.lines[r][c] = v
+                ws.cross[c].add(r)
+        # U and V^-1 are kept by rows, U^-1 and V by columns
+        self.u = _Lines.identity(m.rows, mod) if want_u else None
+        self.u_inv = _Lines.identity(m.rows, mod) if want_u_inv else None
+        self.v = _Lines.identity(m.cols, mod) if want_v else None
+        self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
         self._run()
 
     # elementary ops with transform bookkeeping --------------------------
 
     def _row_axpy(self, src, dst, k):
-        self.ws.row_axpy(src, dst, k)
+        self.ws.axpy(src, dst, k)
         if self.u is not None:
-            self.u.row_axpy(src, dst, k)
+            self.u.axpy(src, dst, k)
         if self.u_inv is not None:
             # E = I + k e_dst e_src^T; U^-1 <- U^-1 E^-1: col src -= k * col dst
             self.u_inv.axpy(dst, src, -k)
 
     def _row_combine(self, i, j, x, y, z, w):
-        self.ws.row_combine(i, j, x, y, z, w)
+        self.ws.combine(i, j, x, y, z, w)
         if self.u is not None:
-            self.u.row_combine(i, j, x, y, z, w)
+            self.u.combine(i, j, x, y, z, w)
         if self.u_inv is not None:
             # E^-1 = [[w, -y], [-z, x]] for det(E) = 1
             self.u_inv.combine(i, j, w, -z, -y, x)
 
     def _row_swap(self, i, j):
-        self.ws.row_swap(i, j)
+        self.ws.swap(i, j)
         if self.u is not None:
-            self.u.row_swap(i, j)
+            self.u.swap(i, j)
         if self.u_inv is not None:
             self.u_inv.swap(i, j)
 
-    def _row_scale(self, i, s):
-        self.ws.row_scale(i, s)
+    def _row_negate(self, i):
+        self.ws.negate(i)
         if self.u is not None:
-            self.u.row_scale(i, s)
+            self.u.negate(i)
         if self.u_inv is not None:
-            self.u_inv.scale(i, s)
+            self.u_inv.negate(i)
 
     def _col_axpy(self, src, dst, k):
-        self.ws.col_axpy(src, dst, k)
+        self.ws.cross_axpy(src, dst, k)
         if self.v is not None:
             self.v.axpy(src, dst, k)
         if self.v_inv is not None:
             # F = I + k e_src e_dst^T; V^-1 <- F^-1 V^-1: row src -= k * row dst
-            self.v_inv.row_axpy(dst, src, -k)
+            self.v_inv.axpy(dst, src, -k)
 
     def _col_combine(self, i, j, x, y, z, w):
-        self.ws.col_combine(i, j, x, y, z, w)
+        self.ws.cross_combine(i, j, x, y, z, w)
         if self.v is not None:
             self.v.combine(i, j, x, y, z, w)
         if self.v_inv is not None:
-            self.v_inv.row_combine(i, j, w, -z, -y, x)
+            self.v_inv.combine(i, j, w, -z, -y, x)
 
     def _col_swap(self, i, j):
-        self.ws.col_swap(i, j)
+        self.ws.cross_swap(i, j)
         if self.v is not None:
             self.v.swap(i, j)
         if self.v_inv is not None:
-            self.v_inv.row_swap(i, j)
-
-    def _col_scale(self, i, s):
-        self.ws.col_scale(i, s)
-        if self.v is not None:
-            self.v.scale(i, s)
-        if self.v_inv is not None:
-            self.v_inv.row_scale(i, s)
+            self.v_inv.swap(i, j)
 
     # pivot selection: structural fill estimate, then magnitude, then index
 
@@ -694,7 +473,7 @@ class _SnfEngine:
         ws = self.ws
         best_c = None
         best_cn = None
-        for c, rows in ws.col_index.items():
+        for c, rows in ws.cross.items():
             if c < t or not rows:
                 continue
             n = len(rows)
@@ -704,17 +483,15 @@ class _SnfEngine:
             return None
         best_r = None
         best_key = None
-        for r in ws.col_index[best_c]:
-            key = (len(ws.rows[r]), abs(ws.rows[r][best_c]), r)
+        for r in ws.cross[best_c]:
+            key = (len(ws.lines[r]), abs(ws.lines[r][best_c]), r)
             if best_key is None or key < best_key:
                 best_key, best_r = key, r
         return best_r, best_c
 
     def _run(self):
-        t = 0
         ws = self.ws
-        limit = min(self.m.rows, self.m.cols)
-        while t < limit:
+        for t in range(min(self.m.rows, self.m.cols)):
             picked = self._choose_pivot(t)
             if picked is None:
                 break
@@ -723,9 +500,11 @@ class _SnfEngine:
             self._col_swap(c0, t)
             while True:
                 self._clear_position(t)
-                piv = ws.rows[t][t]
+                if self.mod:
+                    break
+                piv = ws.lines[t][t]
                 if piv < 0:
-                    self._row_scale(t, -1)
+                    self._row_negate(t)
                     piv = -piv
                 if piv == 1:
                     break
@@ -734,71 +513,54 @@ class _SnfEngine:
                     break
                 # fold the offending row into the pivot row and re-clear
                 self._row_axpy(offender, t, 1)
-            self.diag.append(ws.rows[t][t])
-            t += 1
+            self.diag.append(ws.lines[t][t])
+
+    def _quotient(self, b: int, a: int) -> int | None:
+        """q with b = q*a in the ring, or None when a does not divide b."""
+        if self.mod:
+            return b * pow(a, -1, self.mod) % self.mod
+        return b // a if b % a == 0 else None
 
     def _clear_position(self, t: int):
-        """Make row t and column t zero except at (t, t)."""
+        """Make row t and column t zero except at (t, t), which stays nonzero."""
         ws = self.ws
         while True:
-            # clear column t with row ops
-            changed = True
-            while changed:
-                changed = False
-                for r in sorted(ws.col_index.get(t, ())):
-                    if r == t:
-                        continue
-                    a = ws.rows[t].get(t, 0)
-                    b = ws.rows[r].get(t, 0)
-                    if not b:
-                        continue
-                    if a and b % a == 0:
-                        self._row_axpy(t, r, -(b // a))
-                    elif not a:
-                        self._row_swap(t, r)
-                        changed = True
-                        break
-                    else:
-                        g, x, y = xgcd(a, b)
-                        self._row_combine(t, r, x, y, -(b // g), a // g)
-                    changed = True
-                    break
-            # clear row t with col ops
-            row_t = ws.rows[t]
-            others = sorted(c for c in row_t if c != t)
-            if not others:
-                # column may have been refilled? row ops don't touch col t once clear
-                col_ok = all(r == t for r in ws.col_index.get(t, ()))
-                if col_ok:
-                    return
-                continue
-            for c in others:
-                a = row_t.get(t, 0)
-                b = row_t.get(c, 0)
-                if not b:
+            # clear column t with row ops; each op only removes rows from it
+            for r in sorted(ws.cross[t]):
+                if r == t:
                     continue
-                if a and b % a == 0:
-                    self._col_axpy(t, c, -(b // a))
-                elif not a:
-                    self._col_swap(t, c)
+                a = ws.lines[t][t]
+                b = ws.lines[r][t]
+                q = self._quotient(b, a)
+                if q is not None:
+                    self._row_axpy(t, r, -q)
+                else:
+                    g, x, y = xgcd(a, b)
+                    self._row_combine(t, r, x, y, -(b // g), a // g)
+            # clear row t with col ops; a gcd step may refill column t
+            row_t = ws.lines[t]
+            for c in sorted(c for c in row_t if c != t):
+                a = row_t[t]
+                b = row_t[c]
+                q = self._quotient(b, a)
+                if q is not None:
+                    self._col_axpy(t, c, -q)
                 else:
                     g, x, y = xgcd(a, b)
                     self._col_combine(t, c, x, y, -(b // g), a // g)
-            # col ops may refill column t's lower part; loop until stable
-            if all(r == t for r in ws.col_index.get(t, ())) and \
-               all(c == t for c in ws.rows[t]):
+            if ws.cross[t] == {t}:
                 return
 
     def _find_nondivisible(self, t: int, piv: int) -> int | None:
         """Row index of some active entry not divisible by piv, or None."""
         ws = self.ws
-        for c in sorted(ws.col_index):
+        for c in sorted(ws.cross):
             if c <= t:
                 continue
-            for r in sorted(ws.col_index[c]):
+            for r in sorted(ws.cross[c]):
                 if r <= t:
                     continue
-                if ws.rows[r][c] % piv:
+                if ws.lines[r][c] % piv:
                     return r
         return None
 
@@ -807,14 +569,78 @@ def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
     """Smith normal form with transforms; deterministic for fixed input."""
     eng = _SnfEngine(m, want_u=True, want_v=True)
     return SnfResult(tuple(eng.diag),
-                     eng.u.to_matrix(m.rows),
-                     eng.v.to_matrix(m.cols))
+                     eng.u.to_matrix(m.rows, m.rows, by_rows=True),
+                     eng.v.to_matrix(m.cols, m.cols, by_rows=False))
 
 
 def invariant_factors(m: SparseIntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form, computed without transform bookkeeping."""
-    eng = _SnfEngine(m, want_u=False, want_v=False)
-    return tuple(eng.diag)
+    return tuple(_SnfEngine(m).diag)
+
+
+def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
+    """Rank over Z/p, p prime, by eliminating m mod p without transforms."""
+    return len(_SnfEngine(m, p).diag)
+
+
+# ---------------------------------------------------------------------------
+# kernels, rank and lattice solves over Z, read off the Smith form
+
+
+class ColumnEchelon:
+    """The column lattice of an integer matrix M, through U*M*V = D.
+
+    The columns of V beyond the rank r form a basis of ker(M), saturated
+    because V is unimodular.  M*x = b has an integer solution exactly when
+    (U*b)_i is divisible by d_i for i < r and vanishes for i >= r.
+    """
+
+    def __init__(self, m: SparseIntMatrix):
+        eng = _SnfEngine(m, want_u=True, want_v=True)
+        self.nrows = m.rows
+        self.ncols = m.cols
+        self.diag = eng.diag
+        self.rank = len(eng.diag)
+        self._u_rows = eng.u.lines
+        self._v_cols = eng.v.lines
+
+    def kernel_matrix(self) -> SparseIntMatrix:
+        return SparseIntMatrix.from_columns(self.ncols, self._v_cols[self.rank:])
+
+    def solve(self, b: Vector | dict[int, int]) -> list[int] | None:
+        """Solve M*x = b over Z, or return None if b is outside the lattice."""
+        if not isinstance(b, dict):
+            if len(b) != self.nrows:
+                raise ValueError("vector length mismatch")
+            b = {r: v for r, v in enumerate(b) if v}
+        x = [0] * self.ncols
+        for i, row in enumerate(self._u_rows):
+            y = sum(w * b.get(j, 0) for j, w in row.items())
+            if i >= self.rank:
+                if y:
+                    return None
+                continue
+            q, rem = divmod(y, self.diag[i])
+            if rem:
+                return None
+            if q:
+                for r, w in self._v_cols[i].items():
+                    x[r] += q * w
+        return x
+
+
+def kernel_basis(m: SparseIntMatrix) -> SparseIntMatrix:
+    """Columns form a basis of the full (saturated) integer kernel lattice."""
+    return ColumnEchelon(m).kernel_matrix()
+
+
+def rank_z(m: SparseIntMatrix) -> int:
+    return len(invariant_factors(m))
+
+
+def solve_in_lattice(m: SparseIntMatrix, b: Vector) -> list[int] | None:
+    """Return x with m*x = b if b lies in the column lattice of m, else None."""
+    return ColumnEchelon(m).solve(b)
 
 
 # ---------------------------------------------------------------------------
@@ -944,26 +770,27 @@ class FgAbelianGroup:
         return f"FgAbelianGroup(free_rank={self.free_rank}, torsion={self.torsion})"
 
 
-def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix) -> FgAbelianGroup:
-    """Invariant-factor form of Z^ambient_rank modulo the column lattice.
+def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix,
+                       mod: int = 0) -> FgAbelianGroup:
+    """Invariant-factor form of R^ambient_rank modulo the column span, R = Z or Z/mod.
 
-    Generator data is populated: generators are ambient vectors, and the
-    reducer maps an ambient vector to its coordinates in the quotient.
+    Over Z/p, p prime, the quotient is a vector space (Z/p)^k, reported as k
+    torsion coefficients p.  Generator data is populated: generators are
+    ambient vectors, and the reducer maps an ambient vector to its
+    coordinates in the quotient.
     """
     if relations.rows != ambient_rank:
         raise ValueError("relation matrix must have ambient_rank rows")
-    eng = _SnfEngine(relations, want_u=True, want_v=False, want_u_inv=True)
-    diag = eng.diag
-    kept = [(i, d) for i, d in enumerate(diag) if d >= 2]
-    frees = list(range(len(diag), ambient_rank))
-    torsion = tuple(d for _, d in kept)
+    eng = _SnfEngine(relations, mod, want_u=True, want_u_inv=True)
+    kept = [] if mod else [(i, d) for i, d in enumerate(eng.diag) if d >= 2]
+    frees = list(range(len(eng.diag), ambient_rank))
     coord_positions = [i for i, _ in kept] + frees
-    orders = list(torsion) + [0] * len(frees)
+    orders = [d for _, d in kept] + [mod] * len(frees)
 
-    u_rows = [dict(eng.u.rows[i]) for i in coord_positions]
+    u_rows = [eng.u.lines[i] for i in coord_positions]
     gens = []
     for i in coord_positions:
-        col = eng.u_inv.cols[i]
+        col = eng.u_inv.lines[i]
         vec = [0] * ambient_rank
         for r, v in col.items():
             vec[r] = v
@@ -982,8 +809,8 @@ def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix) -> FgAbeli
             out.append(y % o if o else y)
         return tuple(out)
 
-    return FgAbelianGroup(len(frees), torsion, ambient_rank=ambient_rank,
-                          gens=gens, reducer=reducer)
+    return FgAbelianGroup(orders.count(0), [o for o in orders if o],
+                          ambient_rank=ambient_rank, gens=gens, reducer=reducer)
 
 
 # ---------------------------------------------------------------------------
@@ -1215,126 +1042,3 @@ def fixed_points_of_hom_family(group: FgAbelianGroup,
         vec[i] = t
         gens.append(vec)
     return _subgroup_from_generators(group, gens)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic over Z/p (rank cross-checks and field homology)
-
-
-class FieldEchelon:
-    """Column echelon form over Z/p with transform; mirrors ColumnEchelon."""
-
-    def __init__(self, m: SparseIntMatrix, p: int, want_transform: bool = True):
-        self.p = p
-        self.nrows = m.rows
-        self.ncols = m.cols
-        ws = _Cols.from_matrix(m, mod=p)
-        v = _Cols.identity(m.cols, mod=p) if want_transform else None
-        pivots: list[tuple[int, int]] = []
-        front = 0
-        for r in range(m.rows):
-            live = sorted(c for c in ws.row_index.get(r, ()) if c >= front)
-            if not live:
-                continue
-            c0 = live[0]
-            inv = pow(ws.cols[c0][r], -1, p)
-            if inv != 1:
-                ws.scale(c0, inv)
-                if v is not None:
-                    v.scale(c0, inv)
-            for c in live[1:]:
-                k = (-ws.cols[c][r]) % p
-                ws.axpy(c0, c, k)
-                if v is not None:
-                    v.axpy(c0, c, k)
-            if c0 != front:
-                ws.swap(c0, front)
-                if v is not None:
-                    v.swap(c0, front)
-            pivots.append((r, front))
-            front += 1
-        self.rank = front
-        self.pivots = pivots
-        self._h = ws
-        self._v = v
-
-    def kernel_matrix(self) -> SparseIntMatrix:
-        if self._v is None:
-            raise ValueError("echelon was computed without transform")
-        cols = []
-        for c in range(self.rank, self.ncols):
-            assert not self._h.cols[c], "nonzero column beyond rank"
-            cols.append(dict(self._v.cols[c]))
-        return SparseIntMatrix.from_columns(self.ncols, cols)
-
-    def solve(self, b: Vector | dict[int, int]) -> list[int] | None:
-        if self._v is None:
-            raise ValueError("echelon was computed without transform")
-        p = self.p
-        if isinstance(b, dict):
-            res = {r: v % p for r, v in b.items() if v % p}
-        else:
-            res = {r: v % p for r, v in enumerate(b) if v % p}
-        y: dict[int, int] = {}
-        for (pr, pc) in self.pivots:
-            val = res.get(pr)
-            if not val:
-                continue
-            q = val  # pivot normalized to 1
-            y[pc] = q
-            for r2, w in self._h.cols[pc].items():
-                nv = (res.get(r2, 0) - q * w) % p
-                if nv:
-                    res[r2] = nv
-                else:
-                    res.pop(r2, None)
-        if res:
-            return None
-        x = [0] * self.ncols
-        for c, q in y.items():
-            for r2, w in self._v.cols[c].items():
-                x[r2] = (x[r2] + q * w) % p
-        return x
-
-
-def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    return FieldEchelon(m, p, want_transform=False).rank
-
-
-class FieldRowSpace:
-    """Incrementally reduced row space over Z/p (for quotient coordinates)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows: dict[int, dict[int, int]] = {}  # pivot coord -> normalized row
-
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        p = self.p
-        vec = {k: v % p for k, v in vec.items() if v % p}
-        while vec:
-            lead = min(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            k = vec[lead]
-            for c, w in row.items():
-                nv = (vec.get(c, 0) - k * w) % p
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        return vec
-
-    def add(self, vec: dict[int, int]) -> bool:
-        """Insert a vector; returns True if it enlarged the space."""
-        red = self.reduce(dict(vec))
-        if not red:
-            return False
-        lead = min(red)
-        inv = pow(red[lead], -1, self.p)
-        self.rows[lead] = {c: (v * inv) % self.p for c, v in red.items()}
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)

@@ -12,15 +12,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import chains
-from .chains import (bar_boundary, bar_complex, coinvariant_complex, encode_tuple,
+from .chains import (_is_prime, bar_boundary, bar_complex, coinvariant_complex, encode_tuple,
                      find_equivariant_coset_reps, fixed_inclusion_chain_map,
                      invariant_complex, invariant_inclusion_chain_map, invariant_ses,
                      quotient_complex_D, subgroup_invariant_inclusion, transfer_chain_map,
                      tuple_orbits, orbit_members)
 from .groups import (FiniteGroup, GroupAction, Subgroup, fixed_subgroup,
                      generated_subgroup, negation_action)
-from .homology import (_is_prime, exactness_check, fixed_homology, homology,
-                       induced_map, invariant_les)
+from .homology import exactness_check, fixed_homology, homology, induced_map, invariant_les
 from .linalg import (AbelianHom, FgAbelianGroup, SparseIntMatrix, image_of_hom,
                      kernel_of_hom, present_fg_abelian)
 

@@ -131,13 +131,6 @@ def test_budget_exceeded_exits_3(capsys):
                      "--memory-budget", "1K"]) == 3
 
 
-def test_threads_flag_validated(capsys):
-    assert cli.main(["compute", "--group", "cyclic:2", "--max-degree", "1",
-                     "--threads", "0"]) == 2
-    assert cli.main(["compute", "--group", "cyclic:2", "--max-degree", "1",
-                     "--threads", "4"]) == 0
-
-
 def test_cache_round_trip(tmp_path, capsys):
     args = ["compute", "--group", "cyclic:4", "--action", "negation",
             "--max-degree", "2", "--cache-dir", str(tmp_path)]

@@ -3,7 +3,7 @@ and exactness reports."""
 
 import pytest
 
-from invariant_chains.chains import (bar_complex, coinvariant_complex,
+from invariant_chains.chains import (ComplexSlice, bar_complex, coinvariant_complex,
                                      invariant_complex, invariant_inclusion_chain_map,
                                      invariant_ses, fixed_inclusion_chain_map,
                                      quotient_complex_D, s1_counterexample_complex,
@@ -11,12 +11,12 @@ from invariant_chains.chains import (bar_complex, coinvariant_complex,
 from invariant_chains.errors import InternalCheckError
 from invariant_chains.groups import (generated_subgroup, make_cyclic, negation_action,
                                      trivial_action)
-from invariant_chains.homology import (LesNode, action_on_homology,
+from invariant_chains.homology import (HomologyProfile, LesNode, action_on_homology,
                                        connecting_homomorphism, dd_zero, exactness_check,
                                        fixed_homology, homology, induced_map,
                                        invariant_les, uct_crosscheck)
-from invariant_chains.linalg import (AbelianHom, FgAbelianGroup, image_of_hom,
-                                     kernel_of_hom)
+from invariant_chains.linalg import (AbelianHom, FgAbelianGroup, SparseIntMatrix,
+                                     image_of_hom, kernel_of_hom)
 
 
 def groups_str(prof, lo, hi):
@@ -46,12 +46,22 @@ def test_invariant_degree_one_for_multiple_of_four():
 
 
 def test_generator_reduce_unit_property():
-    prof = homology(invariant_complex(negation_action(4), 4))
-    for deg in range(1, 4):
-        gens = prof.generators(deg)
-        for i, g in enumerate(gens):
-            coords = prof.reduce(deg, g)
-            assert coords == tuple(1 if j == i else 0 for j in range(len(gens)))
+    slc = invariant_complex(negation_action(4), 4)
+    for coeff in (0, 2, 3):
+        prof = homology(slc, coeff)
+        for deg in range(1, 4):
+            gens = prof.generators(deg)
+            assert len(gens) == prof.group(deg).ngens
+            for i, g in enumerate(gens):
+                coords = prof.reduce(deg, g)
+                assert coords == tuple(1 if j == i else 0 for j in range(len(gens)))
+            # every boundary reduces to zero
+            d_up = slc.d(deg + 1)
+            for c in range(d_up.cols):
+                col = [0] * slc.sizes[deg]
+                for r, v in d_up.column(c):
+                    col[r] = v
+                assert not any(prof.reduce(deg, col))
 
 
 def test_mod_p_profile_cross_checked_and_composite_uct():
@@ -215,9 +225,23 @@ def test_trivial_action_profile_matches_classical():
 
 
 def test_reduce_rejects_non_cycles():
-    prof = homology(bar_complex(make_cyclic(4), 3))
-    prof.group(1)
-    non_cycle = [0] * 16
-    non_cycle[1] = 1  # [0|1] alone is not a cycle in degree 2
-    with pytest.raises(InternalCheckError):
-        prof.reduce(2, non_cycle)
+    slc = bar_complex(make_cyclic(4), 3)
+    for coeff in (0, 2):
+        prof = homology(slc, coeff)
+        prof.group(1)
+        non_cycle = [0] * 16
+        non_cycle[1] = 1  # [0|1] alone is not a cycle in degree 2
+        with pytest.raises(InternalCheckError, match="not a cycle"):
+            prof.reduce(2, non_cycle)
+
+
+def test_boundary_that_is_not_a_cycle_is_caught():
+    # d_1 * d_2 != 0, which the builders never produce: generator data must
+    # refuse it in both rings
+    d1 = SparseIntMatrix.from_dense([[1, 0]])
+    d2 = SparseIntMatrix.from_dense([[1], [0]])
+    slc = ComplexSlice("broken", "test", 2, (1, 2, 1), (d1, d2), ())
+    for coeff in (0, 2):
+        prof = HomologyProfile(slc, coeff)
+        with pytest.raises(InternalCheckError, match="boundary column is not a cycle"):
+            prof.generators(1)

@@ -7,7 +7,7 @@ import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
-                                     FieldEchelon, SparseIntMatrix,
+                                     SparseIntMatrix, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
                                      invariant_factors, invariant_factors_from_orders,
                                      kernel_basis, kernel_of_hom, present_fg_abelian,
@@ -22,6 +22,14 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9, density=0.7):
     return SparseIntMatrix.from_dense(
         [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(cols)]
          for _ in range(rows)])
+
+
+def transforms(eng, rows, cols):
+    """U, U^-1, V and V^-1 of a Smith form engine run, as matrices."""
+    return (eng.u.to_matrix(rows, rows, by_rows=True),
+            eng.u_inv.to_matrix(rows, rows, by_rows=False),
+            eng.v.to_matrix(cols, cols, by_rows=False),
+            eng.v_inv.to_matrix(cols, cols, by_rows=True))
 
 
 def test_xgcd():
@@ -49,6 +57,22 @@ def test_snf_transforms_reproduce_diagonal():
         # unimodularity, checked with an unrelated determinant implementation
         assert abs(sympy.Matrix(res.u.to_dense()).det()) == 1
         assert abs(sympy.Matrix(res.v.to_dense()).det()) == 1
+        # the engine's inverse transforms
+        eng = _SnfEngine(m, want_u=True, want_v=True, want_u_inv=True, want_v_inv=True)
+        u, u_inv, v, v_inv = transforms(eng, rows, cols)
+        assert u.mul(u_inv) == SparseIntMatrix.identity(rows)
+        assert v.mul(v_inv) == SparseIntMatrix.identity(cols)
+        # the same engine over Z/p: U*M*V = D mod p, rank = number of pivots
+        for p in (2, 3, 5):
+            eng = _SnfEngine(m, p, want_u=True, want_v=True, want_u_inv=True,
+                             want_v_inv=True)
+            u, u_inv, v, v_inv = transforms(eng, rows, cols)
+            assert u.mul(m).mul(v).to_mod(p) == SparseIntMatrix.diagonal(eng.diag, rows, cols)
+            assert all(0 < d < p for d in eng.diag)
+            assert u.mul(u_inv).to_mod(p) == SparseIntMatrix.identity(rows)
+            assert v.mul(v_inv).to_mod(p) == SparseIntMatrix.identity(cols)
+            assert len(eng.diag) == sympy.Matrix(m.to_dense()).rank(
+                iszerofunc=lambda x: x % p == 0)
 
 
 def test_snf_against_sympy_oracle():
@@ -212,14 +236,6 @@ def test_field_echelon_and_ranks():
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert rank_mod_p(m, p) == sympy.Matrix(m.to_dense()).rank(
                 iszerofunc=lambda x: x % p == 0)
-
-
-def test_field_echelon_solve():
-    m = dense([[1, 2], [0, 5]])
-    ech = FieldEchelon(m.to_mod(5), 5)
-    assert ech.solve([1, 0]) is not None
-    sol = ech.solve([3, 0])
-    assert sol is not None and [v % 5 for v in m.mul_vec(sol)] == [3, 0]
 
 
 def test_column_echelon_solve_sparse_interface():
