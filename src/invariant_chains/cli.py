@@ -27,8 +27,8 @@ from .chains import (bar_complex, burnside_orbit_count, coinvariant_complex,
                      invariant_inclusion_chain_map, norm_chain_map, quotient_complex_D,
                      slice_from_json, slice_to_json)
 from .errors import BudgetExceededError, SpecParseError
-from .groups import (fixed_subgroup, generated_subgroup, parse_action_spec,
-                     parse_group_spec, trivial_subgroup)
+from .groups import (FiniteGroup, GroupAction, fixed_subgroup, generated_subgroup,
+                     parse_action_spec, parse_group_spec, trivial_subgroup)
 from .homology import fixed_homology, homology, induced_map
 from .linalg import image_of_hom, kernel_of_hom
 from .theorems import REGISTRY
@@ -101,28 +101,43 @@ def _render_homology_table(payload: dict) -> None:
 
 
 class _SliceCache:
-    """Optional on-disk JSON cache of built complexes."""
+    """Optional on-disk JSON cache of built complexes.
+
+    An entry is keyed by what the complex is built from: the builder kind,
+    the group's multiplication table, the action's permutation tables, the
+    degree and the package version, never by the spec strings that named
+    them.  Entries are written to a temporary file and moved into place.
+    """
 
     def __init__(self, directory: str | None):
         self.dir = Path(directory) if directory else None
         if self.dir:
             self.dir.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
+    def _path(self, kind: str, g: FiniteGroup, action: GroupAction | None, n: int) -> Path:
+        key = json.dumps([kind, __version__, g.mul_table,
+                          action.perm if action is not None else None, n])
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
         return self.dir / f"slice-{digest}.json"
 
-    def get_or_build(self, key: str, builder):
+    def get_or_build(self, kind: str, g: FiniteGroup, action: GroupAction | None,
+                     n: int, builder):
         if not self.dir:
             return builder()
-        path = self._path(key)
+        path = self._path(kind, g, action, n)
         if path.exists():
             try:
                 return slice_from_json(json.loads(path.read_text()))
             except Exception:
                 path.unlink(missing_ok=True)
         built = builder()
-        path.write_text(json.dumps(slice_to_json(built), sort_keys=True))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(slice_to_json(built), sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return built
 
 
@@ -182,10 +197,14 @@ def cmd_compute(args) -> int:
     g = parse_group_spec(args.group)
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1
-    cache = _SliceCache(args.cache_dir)
-    inv = cache.get_or_build(
-        f"invariant|{args.group}|{args.action}|{n_build}",
-        lambda: invariant_complex(action, n_build, memory_budget=budget))
+    if args.maps:
+        # the chain maps below are built on the in-memory complex, and
+        # induced_map needs the profile of that same object
+        inv = invariant_complex(action, n_build, memory_budget=budget)
+    else:
+        inv = _SliceCache(args.cache_dir).get_or_build(
+            "invariant", g, action, n_build,
+            lambda: invariant_complex(action, n_build, memory_budget=budget))
     prof = homology(inv, coeff)
     payload = {
         "schema": 1,
@@ -241,10 +260,8 @@ def cmd_classical(args) -> int:
     coeff = _parse_coeff(args.coeff)
     g = parse_group_spec(args.group)
     n_build = args.max_degree + 1
-    cache = _SliceCache(args.cache_dir)
-    bar = cache.get_or_build(
-        f"bar|{args.group}|{n_build}",
-        lambda: bar_complex(g, n_build, memory_budget=budget))
+    bar = _SliceCache(args.cache_dir).get_or_build(
+        "bar", g, None, n_build, lambda: bar_complex(g, n_build, memory_budget=budget))
     prof = homology(bar, coeff)
     payload = {
         "schema": 1,

@@ -14,11 +14,15 @@ and V^-1 its caller asks for.  Everything else is read off it:
 
 Pivoting is deterministic: structural (Markowitz-style minimal fill) with
 minimal-magnitude and lowest-index tie-breaks, so results are reproducible
-bit for bit.
+bit for bit.  The pivot column comes from a priority queue keyed by
+(nonzero count, column index), so it is the column with the fewest nonzero
+rows, ties to the lowest index; the queue is re-keyed only for the columns
+whose counts the elementary operations since the last pivot could change.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -411,11 +415,23 @@ class _SnfEngine:
         self.v = _Lines.identity(m.cols, mod) if want_v else None
         self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
+        # pivot queue: a heap of keys count * cols + c, each checked against
+        # the live count when it reaches the top; `_keyed[c]` is the count
+        # column c was last queued with.  Column ops re-key their columns at
+        # once.  Row ops record their rows, and the supports of those rows
+        # are re-keyed before the next choice: every column whose count a row
+        # op changes keeps an entry in one of its recorded rows until a later
+        # op changes that count again and re-keys or records it in turn.
+        # (Collecting the columns themselves into a set that was filled and
+        # freed on every pivot raised the peak RSS by several MB.)
+        self._rows_touched: set[int] = set()
+        self._rebuild_queue(0)
         self._run()
 
-    # elementary ops with transform bookkeeping --------------------------
+    # elementary ops with transform and pivot-queue bookkeeping ----------
 
     def _row_axpy(self, src, dst, k):
+        self._rows_touched.add(src)
         self.ws.axpy(src, dst, k)
         if self.u is not None:
             self.u.axpy(src, dst, k)
@@ -424,6 +440,9 @@ class _SnfEngine:
             self.u_inv.axpy(dst, src, -k)
 
     def _row_combine(self, i, j, x, y, z, w):
+        # the 2x2 step is invertible, so each column it touches keeps an
+        # entry in row i or row j
+        self._rows_touched.update((i, j))
         self.ws.combine(i, j, x, y, z, w)
         if self.u is not None:
             self.u.combine(i, j, x, y, z, w)
@@ -432,6 +451,10 @@ class _SnfEngine:
             self.u_inv.combine(i, j, w, -z, -y, x)
 
     def _row_swap(self, i, j):
+        # a recorded row's entries move with it
+        touched = self._rows_touched
+        if i in touched or j in touched:
+            touched.update((i, j))
         self.ws.swap(i, j)
         if self.u is not None:
             self.u.swap(i, j)
@@ -447,6 +470,7 @@ class _SnfEngine:
 
     def _col_axpy(self, src, dst, k):
         self.ws.cross_axpy(src, dst, k)
+        self._rekey(dst)
         if self.v is not None:
             self.v.axpy(src, dst, k)
         if self.v_inv is not None:
@@ -455,6 +479,8 @@ class _SnfEngine:
 
     def _col_combine(self, i, j, x, y, z, w):
         self.ws.cross_combine(i, j, x, y, z, w)
+        self._rekey(i)
+        self._rekey(j)
         if self.v is not None:
             self.v.combine(i, j, x, y, z, w)
         if self.v_inv is not None:
@@ -462,6 +488,8 @@ class _SnfEngine:
 
     def _col_swap(self, i, j):
         self.ws.cross_swap(i, j)
+        self._rekey(i)
+        self._rekey(j)
         if self.v is not None:
             self.v.swap(i, j)
         if self.v_inv is not None:
@@ -469,21 +497,52 @@ class _SnfEngine:
 
     # pivot selection: structural fill estimate, then magnitude, then index
 
+    def _rekey(self, c: int) -> None:
+        """Queue column c again if its count differs from the one last queued."""
+        n = len(self.ws.cross.get(c, ()))
+        if n != self._keyed[c]:
+            self._keyed[c] = n
+            if n:
+                heapq.heappush(self._queue, n * self.m.cols + c)
+
+    def _rebuild_queue(self, t: int) -> None:
+        """One key per column c >= t with a nonzero count, nothing recorded."""
+        ncols = self.m.cols
+        self._keyed = [0] * ncols
+        self._queue = []
+        for c, rows in self.ws.cross.items():
+            if c >= t and rows:
+                self._keyed[c] = len(rows)
+                self._queue.append(len(rows) * ncols + c)
+        heapq.heapify(self._queue)
+        self._rows_touched.clear()
+
     def _choose_pivot(self, t: int) -> tuple[int, int] | None:
         ws = self.ws
-        best_c = None
-        best_cn = None
-        for c, rows in ws.cross.items():
-            if c < t or not rows:
-                continue
-            n = len(rows)
-            if best_cn is None or n < best_cn or (n == best_cn and c < best_c):
-                best_c, best_cn = c, n
-        if best_c is None:
+        cross = ws.cross
+        ncols = self.m.cols
+        if len(self._queue) > 2 * ncols:
+            self._rebuild_queue(t)
+        else:
+            keyed = self._keyed
+            for r in self._rows_touched:
+                for c in ws.lines[r]:
+                    n = len(cross[c])
+                    if c >= t and n != keyed[c]:
+                        keyed[c] = n
+                        heapq.heappush(self._queue, n * ncols + c)
+            self._rows_touched.clear()
+        queue = self._queue
+        while queue:
+            n, best_c = divmod(queue[0], ncols)
+            if best_c >= t and len(cross.get(best_c, ())) == n:
+                break
+            heapq.heappop(queue)
+        else:
             return None
         best_r = None
         best_key = None
-        for r in ws.cross[best_c]:
+        for r in cross[best_c]:
             key = (len(ws.lines[r]), abs(ws.lines[r][best_c]), r)
             if best_key is None or key < best_key:
                 best_key, best_r = key, r
@@ -554,10 +613,8 @@ class _SnfEngine:
     def _find_nondivisible(self, t: int, piv: int) -> int | None:
         """Row index of some active entry not divisible by piv, or None."""
         ws = self.ws
-        for c in sorted(ws.cross):
-            if c <= t:
-                continue
-            for r in sorted(ws.cross[c]):
+        for c in range(t + 1, self.m.cols):
+            for r in sorted(ws.cross.get(c, ())):
                 if r <= t:
                     continue
                 if ws.lines[r][c] % piv:

@@ -146,6 +146,33 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code == 0 and third == first
 
 
+def test_maps_with_warm_cache(tmp_path, capsys):
+    args = ["compute", "--group", "cyclic:4", "--action", "negation",
+            "--max-degree", "3", "--maps", "--cache-dir", str(tmp_path),
+            "--format", "json"]
+    code, first = run_cli(capsys, args)
+    assert code == 0
+    code, second = run_cli(capsys, args)
+    assert code == 0 and second == first
+
+
+def test_cache_is_keyed_by_content(tmp_path, capsys):
+    perm_file = tmp_path / "action.json"
+    args = ["compute", "--group", "cyclic:5", "--action", f"perm:{perm_file}",
+            "--max-degree", "2"]
+    cached = args + ["--cache-dir", str(tmp_path / "cache")]
+    perm_file.write_text("[[0,1,2,3,4],[0,4,3,2,1]]")
+    code, negation = run_json(capsys, cached)
+    assert code == 0 and negation["homology"][1]["torsion"] == []
+    # same spec string, different action: the cached complex must not be reused
+    perm_file.write_text("[[0,1,2,3,4]]")
+    code, trivial = run_json(capsys, cached)
+    assert code == 0
+    assert trivial == run_json(capsys, args)[1]
+    assert trivial["homology"][1]["torsion"] == [5]
+    assert not list((tmp_path / "cache").glob("*.tmp"))
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "invariant_chains.cli", "classical", "--group",

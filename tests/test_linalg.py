@@ -6,6 +6,8 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from invariant_chains.chains import invariant_complex
+from invariant_chains.groups import inversion_action, make_cyclic
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
                                      SparseIntMatrix, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
@@ -73,6 +75,55 @@ def test_snf_transforms_reproduce_diagonal():
             assert v.mul(v_inv).to_mod(p) == SparseIntMatrix.identity(cols)
             assert len(eng.diag) == sympy.Matrix(m.to_dense()).rank(
                 iszerofunc=lambda x: x % p == 0)
+
+
+class _ScanPivotEngine(_SnfEngine):
+    """Reference: the engine with the linear column scan that its pivot queue replaced."""
+
+    def _choose_pivot(self, t: int) -> tuple[int, int] | None:
+        ws = self.ws
+        best_c = None
+        best_cn = None
+        for c, rows in ws.cross.items():
+            if c < t or not rows:
+                continue
+            n = len(rows)
+            if best_cn is None or n < best_cn or (n == best_cn and c < best_c):
+                best_c, best_cn = c, n
+        if best_c is None:
+            return None
+        best_r = None
+        best_key = None
+        for r in ws.cross[best_c]:
+            key = (len(ws.lines[r]), abs(ws.lines[r][best_c]), r)
+            if best_key is None or key < best_key:
+                best_key, best_r = key, r
+        return best_r, best_c
+
+
+def test_pivot_queue_matches_linear_scan():
+    rng = random.Random(5)
+    mats = [random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.3)
+            for _ in range(40)]
+    # wide matrices whose columns all have two or three entries, so that
+    # most pivot choices are decided by the lowest-index tie-break
+    for _ in range(20):
+        rows, cols = rng.randint(3, 8), rng.randint(20, 40)
+        mats.append(SparseIntMatrix(rows, cols, {
+            (r, c): rng.choice((-3, -2, -1, 1, 2, 3))
+            for c in range(cols) for r in rng.sample(range(rows), rng.randint(2, 3))}))
+    action = inversion_action(make_cyclic(4))
+    ladder = invariant_complex(action, 4)
+    mats += [ladder.d(n) for n in range(1, 5)]
+
+    def run(cls, m, mod):
+        eng = cls(m, mod, want_u=True, want_v=True, want_u_inv=True, want_v_inv=True)
+        return [eng.diag] + [[list(line.items()) for line in ws.lines]
+                             for ws in (eng.u, eng.u_inv, eng.v, eng.v_inv)]
+
+    for m in mats:
+        for mod in (0, 2, 3, 5):
+            assert run(_SnfEngine, m, mod) == run(_ScanPivotEngine, m, mod), (m, mod)
 
 
 def test_snf_against_sympy_oracle():
