@@ -194,6 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_compute(args) -> int:
     budget = _parse_budget(args.memory_budget)
     coeff = _parse_coeff(args.coeff)
+    if args.maps and coeff != 0:
+        raise SpecParseError("--maps is supported for integral coefficients")
     g = parse_group_spec(args.group)
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1
@@ -216,8 +218,6 @@ def cmd_compute(args) -> int:
         "homology": prof.rows(),
     }
     if args.maps:
-        if coeff != 0:
-            raise SpecParseError("--maps is supported for integral coefficients")
         coinv = coinvariant_complex(action, n_build, memory_budget=budget)
         dq = quotient_complex_D(action, n_build, memory_budget=budget)
         bar = bar_complex(g, n_build, memory_budget=budget)

@@ -18,6 +18,15 @@ bit for bit.  The pivot column comes from a priority queue keyed by
 (nonzero count, column index), so it is the column with the fewest nonzero
 rows, ties to the lowest index; the queue is re-keyed only for the columns
 whose counts the elementary operations since the last pivot could change.
+
+Only the working matrix carries a cross index (for each column, the set of
+rows with an entry there): its column operations reach rows through it, and
+the pivot queue reads the column counts off it.  The transforms U, U^-1, V
+and V^-1 receive only whole-line operations and are read line by line, so
+they are plain lists of dicts.  While column t holds only the pivot row, a
+column operation of the pivot-row clear can only delete one entry of that
+row, so the engine deletes it directly and replays the operation on V and
+V^-1 alone.
 """
 
 from __future__ import annotations
@@ -70,6 +79,16 @@ class SparseIntMatrix:
                     store[(r, c)] = int(v)
         self.entries = store
         self._col_cache = None
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "SparseIntMatrix":
+        """Wrap an entry dict, already in range and free of zeros, without checks."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._col_cache = None
+        return m
 
     # -- construction helpers
 
@@ -153,12 +172,24 @@ class SparseIntMatrix:
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        left_cols = self.columns()
-        acc: dict[tuple[int, int], int] = defaultdict(int)
+        # the left factor by column, the right factor by output column; each
+        # output column is summed in a dict keyed by row
+        left: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for (a, b), w in self.entries.items():
+            left[b].append((a, w))
+        right: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for (b, c), v in other.entries.items():
-            for a, w in left_cols.get(b, ()):
-                acc[(a, c)] += w * v
-        return SparseIntMatrix(self.rows, other.cols, {k: v for k, v in acc.items() if v})
+            right[c].append((b, v))
+        entries: dict[tuple[int, int], int] = {}
+        for c, col in right.items():
+            acc: dict[int, int] = defaultdict(int)
+            for b, v in col:
+                for a, w in left.get(b, ()):
+                    acc[a] += w * v
+            for a, x in acc.items():
+                if x:
+                    entries[(a, c)] = x
+        return SparseIntMatrix._trusted(self.rows, other.cols, entries)
 
     __matmul__ = mul
 
@@ -216,19 +247,18 @@ class SparseIntMatrix:
 class _Lines:
     """Mutable sparse matrix stored as one dict per line, over Z or Z/mod.
 
-    A line is a row or a column, whichever the owner chooses; `cross[j]` is
-    the set of lines with an entry at position j.  Line operations edit the
-    line dicts directly, cross operations act on positions through the index.
-    The engine keeps its working matrix by rows, so its row operations are
-    line operations and its column operations cross operations; each
-    transform is kept so that the operations it receives are line operations.
+    A line is a row or a column, whichever the owner chooses, and only line
+    operations are supported.  This is the store of the transforms U, U^-1,
+    V and V^-1: each is kept so that every operation it receives acts on
+    whole lines, and each is read only line by line, so it keeps no index of
+    positions.  The working matrix, which also receives operations on
+    positions, is an `_IndexedLines`.
     """
 
-    __slots__ = ("lines", "cross", "mod")
+    __slots__ = ("lines", "mod")
 
     def __init__(self, n: int, mod: int = 0):
         self.lines: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.cross: dict[int, set[int]] = defaultdict(set)
         self.mod = mod
 
     @classmethod
@@ -236,18 +266,79 @@ class _Lines:
         ws = cls(n, mod)
         for i in range(n):
             ws.lines[i][i] = 1
-            ws.cross[i].add(i)
         return ws
 
     def to_matrix(self, rows: int, cols: int, by_rows: bool) -> SparseIntMatrix:
-        return SparseIntMatrix(rows, cols, {
+        return SparseIntMatrix._trusted(rows, cols, {
             ((i, j) if by_rows else (j, i)): v
             for i, line in enumerate(self.lines) for j, v in line.items()})
+
+    def axpy(self, src: int, dst: int, k: int) -> None:
+        # line[dst] += k * line[src]
+        if not k:
+            return
+        ld = self.lines[dst]
+        mod = self.mod
+        for j, v in self.lines[src].items():
+            nv = ld.get(j, 0) + k * v
+            if mod:
+                nv %= mod
+            if nv:
+                ld[j] = nv
+            elif j in ld:
+                del ld[j]
+
+    def combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
+        # (line[i], line[j]) <- (x*line[i] + y*line[j], z*line[i] + w*line[j])
+        self._combine(i, j, x, y, z, w, self.lines[i].keys() | self.lines[j].keys())
+
+    def _combine(self, i, j, x, y, z, w, touched) -> None:
+        a, b = self.lines[i], self.lines[j]
+        mod = self.mod
+        na: dict[int, int] = {}
+        nb: dict[int, int] = {}
+        for c in touched:
+            va = a.get(c, 0)
+            vb = b.get(c, 0)
+            va2 = x * va + y * vb
+            vb2 = z * va + w * vb
+            if mod:
+                va2 %= mod
+                vb2 %= mod
+            if va2:
+                na[c] = va2
+            if vb2:
+                nb[c] = vb2
+        self.lines[i] = na
+        self.lines[j] = nb
+
+    def swap(self, i: int, j: int) -> None:
+        self.lines[i], self.lines[j] = self.lines[j], self.lines[i]
+
+    def negate(self, i: int) -> None:
+        line = self.lines[i]
+        for c in line:
+            line[c] = -line[c]
+
+
+class _IndexedLines(_Lines):
+    """`_Lines` plus `cross[j]`, the set of lines with an entry at position j.
+
+    The engine's working matrix is kept by rows: its row operations are line
+    operations, and its column operations are cross operations, which reach
+    the rows that hold a position through the index.  The index also gives
+    the column counts that pivoting reads.  Line operations keep it exact.
+    """
+
+    __slots__ = ("cross",)
+
+    def __init__(self, n: int, mod: int = 0):
+        super().__init__(n, mod)
+        self.cross: dict[int, set[int]] = defaultdict(set)
 
     # line operations -----------------------------------------------------
 
     def axpy(self, src: int, dst: int, k: int) -> None:
-        # line[dst] += k * line[src]
         if not k:
             return
         ld = self.lines[dst]
@@ -266,53 +357,33 @@ class _Lines:
                 cross[j].discard(dst)
 
     def combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # (line[i], line[j]) <- (x*line[i] + y*line[j], z*line[i] + w*line[j])
-        a, b = self.lines[i], self.lines[j]
-        mod = self.mod
-        na: dict[int, int] = {}
-        nb: dict[int, int] = {}
-        touched = a.keys() | b.keys()
-        for c in touched:
-            va = a.get(c, 0)
-            vb = b.get(c, 0)
-            va2 = x * va + y * vb
-            vb2 = z * va + w * vb
-            if mod:
-                va2 %= mod
-                vb2 %= mod
-            if va2:
-                na[c] = va2
-            if vb2:
-                nb[c] = vb2
+        touched = self.lines[i].keys() | self.lines[j].keys()
+        self._combine(i, j, x, y, z, w, touched)
         cross = self.cross
         for c in touched:
             cross[c].discard(i)
             cross[c].discard(j)
-        for c in na:
+        for c in self.lines[i]:
             cross[c].add(i)
-        for c in nb:
+        for c in self.lines[j]:
             cross[c].add(j)
-        self.lines[i] = na
-        self.lines[j] = nb
 
     def swap(self, i: int, j: int) -> None:
         if i == j:
             return
-        ki = set(self.lines[i])
-        kj = set(self.lines[j])
-        self.lines[i], self.lines[j] = self.lines[j], self.lines[i]
+        li, lj = self.lines[i], self.lines[j]
         cross = self.cross
-        for c in ki - kj:
-            cross[c].discard(i)
-            cross[c].add(j)
-        for c in kj - ki:
-            cross[c].discard(j)
-            cross[c].add(i)
-
-    def negate(self, i: int) -> None:
-        line = self.lines[i]
-        for c in line:
-            line[c] = -line[c]
+        for c in li:
+            if c not in lj:
+                rows = cross[c]
+                rows.discard(i)
+                rows.add(j)
+        for c in lj:
+            if c not in li:
+                rows = cross[c]
+                rows.discard(j)
+                rows.add(i)
+        self.lines[i], self.lines[j] = lj, li
 
     # cross operations ----------------------------------------------------
 
@@ -402,7 +473,7 @@ class _SnfEngine:
                  want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False):
         self.m = m
         self.mod = mod
-        ws = self.ws = _Lines(m.rows, mod)
+        ws = self.ws = _IndexedLines(m.rows, mod)
         for (r, c), v in m.entries.items():
             if mod:
                 v %= mod
@@ -471,6 +542,9 @@ class _SnfEngine:
     def _col_axpy(self, src, dst, k):
         self.ws.cross_axpy(src, dst, k)
         self._rekey(dst)
+        self._transform_col_axpy(src, dst, k)
+
+    def _transform_col_axpy(self, src, dst, k):
         if self.v is not None:
             self.v.axpy(src, dst, k)
         if self.v_inv is not None:
@@ -602,7 +676,14 @@ class _SnfEngine:
                 a = row_t[t]
                 b = row_t[c]
                 q = self._quotient(b, a)
-                if q is not None:
+                if q is not None and len(ws.cross[t]) == 1:
+                    # column t holds only row t, so col c -= q * col t can
+                    # only zero the entry (t, c)
+                    del row_t[c]
+                    ws.cross[c].discard(t)
+                    self._rekey(c)
+                    self._transform_col_axpy(t, c, -q)
+                elif q is not None:
                     self._col_axpy(t, c, -q)
                 else:
                     g, x, y = xgcd(a, b)

@@ -131,6 +131,13 @@ def test_budget_exceeded_exits_3(capsys):
                      "--memory-budget", "1K"]) == 3
 
 
+def test_maps_rejects_field_coefficients_before_building(capsys):
+    # a bad spec exits 2 before any complex is built, so the budget is never reached
+    assert cli.main(["compute", "--group", "cyclic:6", "--max-degree", "4", "--maps",
+                     "--coeff", "Z/3", "--memory-budget", "1K"]) == 2
+    assert "--maps is supported for integral coefficients" in capsys.readouterr().err
+
+
 def test_cache_round_trip(tmp_path, capsys):
     args = ["compute", "--group", "cyclic:4", "--action", "negation",
             "--max-degree", "2", "--cache-dir", str(tmp_path)]

@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from invariant_chains.chains import invariant_complex
 from invariant_chains.groups import inversion_action, make_cyclic
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
-                                     SparseIntMatrix, _SnfEngine,
+                                     SparseIntMatrix, _Lines, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
                                      invariant_factors, invariant_factors_from_orders,
                                      kernel_basis, kernel_of_hom, present_fg_abelian,
@@ -23,7 +23,23 @@ def dense(rows):
 def random_matrix(rng, rows, cols, lo=-9, hi=9, density=0.7):
     return SparseIntMatrix.from_dense(
         [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(cols)]
-         for _ in range(rows)])
+         for _ in range(rows)], cols)
+
+
+def z4_boundaries():
+    """The boundaries of the invariant complex of negation on Z/4, degrees 1-4."""
+    ladder = invariant_complex(inversion_action(make_cyclic(4)), 4)
+    return [ladder.d(n) for n in range(1, 5)]
+
+
+def full_engine(cls, m, mod):
+    return cls(m, mod, want_u=True, want_v=True, want_u_inv=True, want_v_inv=True)
+
+
+def engine_lines(eng):
+    """diag and the lines of U, U^-1, V and V^-1, entry order included."""
+    return [eng.diag] + [[list(line.items()) for line in ws.lines]
+                         for ws in (eng.u, eng.u_inv, eng.v, eng.v_inv)]
 
 
 def transforms(eng, rows, cols):
@@ -112,18 +128,67 @@ def test_pivot_queue_matches_linear_scan():
         mats.append(SparseIntMatrix(rows, cols, {
             (r, c): rng.choice((-3, -2, -1, 1, 2, 3))
             for c in range(cols) for r in rng.sample(range(rows), rng.randint(2, 3))}))
-    action = inversion_action(make_cyclic(4))
-    ladder = invariant_complex(action, 4)
-    mats += [ladder.d(n) for n in range(1, 5)]
-
-    def run(cls, m, mod):
-        eng = cls(m, mod, want_u=True, want_v=True, want_u_inv=True, want_v_inv=True)
-        return [eng.diag] + [[list(line.items()) for line in ws.lines]
-                             for ws in (eng.u, eng.u_inv, eng.v, eng.v_inv)]
-
+    mats += z4_boundaries()
     for m in mats:
         for mod in (0, 2, 3, 5):
-            assert run(_SnfEngine, m, mod) == run(_ScanPivotEngine, m, mod), (m, mod)
+            assert (engine_lines(full_engine(_SnfEngine, m, mod))
+                    == engine_lines(full_engine(_ScanPivotEngine, m, mod))), (m, mod)
+
+
+class _AxpyRowClearEngine(_SnfEngine):
+    """Reference: the engine whose pivot-row clear always goes through `_col_axpy`.
+
+    `refilled` counts the column ops made while a gcd step had refilled
+    column t, where the engine itself must fall back to `_col_axpy`.
+    """
+
+    refilled = 0
+
+    def _clear_position(self, t: int):
+        ws = self.ws
+        while True:
+            for r in sorted(ws.cross[t]):
+                if r == t:
+                    continue
+                a = ws.lines[t][t]
+                b = ws.lines[r][t]
+                q = self._quotient(b, a)
+                if q is not None:
+                    self._row_axpy(t, r, -q)
+                else:
+                    g, x, y = xgcd(a, b)
+                    self._row_combine(t, r, x, y, -(b // g), a // g)
+            row_t = ws.lines[t]
+            for c in sorted(c for c in row_t if c != t):
+                a = row_t[t]
+                b = row_t[c]
+                q = self._quotient(b, a)
+                if q is not None:
+                    if len(ws.cross[t]) > 1:
+                        self.refilled += 1
+                    self._col_axpy(t, c, -q)
+                else:
+                    g, x, y = xgcd(a, b)
+                    self._col_combine(t, c, x, y, -(b // g), a // g)
+            if ws.cross[t] == {t}:
+                return
+
+
+def test_direct_pivot_row_clear_matches_col_axpy():
+    rng = random.Random(9)
+    # non-unit entries, so that gcd steps refill column t during row clears
+    mats = [random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10), lo=-12, hi=12,
+                          density=rng.choice((0.3, 0.6, 0.9)))
+            for _ in range(60)]
+    mats += z4_boundaries()
+    refilled = 0
+    for m in mats:
+        for mod in (0, 2, 3, 5):
+            ref = full_engine(_AxpyRowClearEngine, m, mod)
+            refilled += ref.refilled
+            assert (engine_lines(full_engine(_SnfEngine, m, mod))
+                    == engine_lines(ref)), (m, mod)
+    assert refilled > 0
 
 
 def test_snf_against_sympy_oracle():
@@ -294,6 +359,52 @@ def test_column_echelon_solve_sparse_interface():
     ech = ColumnEchelon(m)
     assert ech.solve({0: 4, 1: 3}) == [2, 1]
     assert ech.solve({0: 1}) is None
+
+
+def dense_product(x, y):
+    xd, yd = x.to_dense(), y.to_dense()
+    return [[sum(xd[i][k] * yd[k][j] for k in range(x.cols)) for j in range(y.cols)]
+            for i in range(x.rows)]
+
+
+def test_mul_matches_dense_product():
+    rng = random.Random(10)
+    pairs = []
+    for _ in range(60):
+        a, b, c = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+        pairs.append((random_matrix(rng, a, b, lo=-2, hi=2, density=0.4),
+                      random_matrix(rng, b, c, lo=-2, hi=2, density=0.4)))
+    # products that cancel to zero
+    d = z4_boundaries()
+    pairs += [(d[n - 1], d[n]) for n in range(1, len(d))]
+    for _ in range(10):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 7))
+        pairs.append((m, kernel_basis(m)))
+    # empty rows and columns on both sides
+    pairs.append((SparseIntMatrix(4, 3, {(0, 1): 2, (2, 1): -1, (2, 2): 3}),
+                  SparseIntMatrix(3, 5, {(1, 0): 3, (1, 4): -2, (2, 4): 1})))
+    pairs.append((SparseIntMatrix(3, 2, {(0, 0): 1, (1, 1): 1}),
+                  SparseIntMatrix(2, 3, {(0, 0): 1, (1, 0): -1})))
+    for x, y in pairs:
+        p = x.mul(y)
+        assert (p.rows, p.cols) == (x.rows, y.cols)
+        assert p.to_dense() == dense_product(x, y)
+        assert all(p.entries.values())
+        assert p == SparseIntMatrix(p.rows, p.cols, dict(p.entries))
+    with pytest.raises(ValueError):
+        SparseIntMatrix(2, 3).mul(SparseIntMatrix(2, 3))
+
+
+def test_lines_to_matrix_round_trip():
+    rng = random.Random(11)
+    for _ in range(20):
+        m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), density=0.4)
+        by_rows, by_cols = _Lines(m.rows), _Lines(m.cols)
+        for (r, c), v in m.entries.items():
+            by_rows.lines[r][c] = v
+            by_cols.lines[c][r] = v
+        assert by_rows.to_matrix(m.rows, m.cols, by_rows=True) == m
+        assert by_cols.to_matrix(m.rows, m.cols, by_rows=False) == m
 
 
 def test_matrix_basics():
