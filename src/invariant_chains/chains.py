@@ -7,6 +7,12 @@ norm map between them, the quotient of the norm, and the chain-level
 inclusion and transfer maps.  Tuples are indexed in mixed radix with the
 leftmost entry most significant, so every basis is lexicographically
 ordered and every matrix is reproducible.
+
+One module-level memo holds what a process has computed: the five complex
+builders' results keyed by (builder, group or action, degree), orbit data,
+and the homology profiles of `homology.homology`, keyed by the slice
+object.  The memory budget is checked on every builder call, memo hit or
+not, and is not part of the key.  `clear_caches()` empties the memo.
 """
 
 from __future__ import annotations
@@ -90,12 +96,13 @@ class BasisInfo:
         return f"e{i}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSlice:
     """A chain complex truncated at max_degree, with d_1..d_max available.
 
     modulus == 0 means a complex of free Z-modules; modulus == p means the
-    boundaries are understood over Z/p (free Z/p-modules).
+    boundaries are understood over Z/p (free Z/p-modules).  Slices compare
+    and hash by identity, so a slice keys its own homology profiles.
     """
 
     name: str
@@ -233,9 +240,37 @@ def _check_budget(order: int, max_degree: int, memory_budget: int | None) -> Non
             f"~{est} bytes, budget is {budget}")
 
 
-@functools.lru_cache(maxsize=None)
+# every in-process memo: builder results, orbit data and homology profiles
+_memo: dict[tuple, object] = {}
+
+
+def clear_caches() -> None:
+    """Empty the memo, so that later calls build and compute afresh."""
+    _memo.clear()
+
+
+def _memoized(build):
+    """A builder over a group or an action, memoized per (build, source, degree).
+
+    The budget is checked first on every call, so a memo hit over budget
+    still raises; it is handed on to the build, not made part of the key.
+    """
+    @functools.wraps(build)
+    def builder(source, max_degree: int, memory_budget: int | None = None):
+        g = source if isinstance(source, FiniteGroup) else source.g
+        _check_budget(g.order, max_degree, memory_budget)
+        key = (build, source, max_degree)
+        if key not in _memo:
+            _memo[key] = build(source, max_degree, memory_budget)
+        return _memo[key]
+    return builder
+
+
 def tuple_orbits(action: GroupAction, n: int) -> OrbitData:
     """Q-orbits of degree-n tuples; representative = smallest tuple index."""
+    key = ("orbits", action, n)
+    if key in _memo:
+        return _memo[key]
     order = action.g.order
     total = order ** n
     orbit_of = [-1] * total
@@ -255,7 +290,8 @@ def tuple_orbits(action: GroupAction, n: int) -> OrbitData:
         sizes.append(len(members))
     qn = action.q.order
     stab = tuple(qn // s for s in sizes)
-    return OrbitData(n, tuple(reps), tuple(sizes), stab, tuple(orbit_of))
+    _memo[key] = OrbitData(n, tuple(reps), tuple(sizes), stab, tuple(orbit_of))
+    return _memo[key]
 
 
 def orbit_members(action: GroupAction, n: int, rep: int) -> list[int]:
@@ -277,15 +313,10 @@ def burnside_orbit_count(action: GroupAction, n: int) -> int:
 # builders
 
 
+@_memoized
 def bar_complex(g: FiniteGroup, max_degree: int,
                 memory_budget: int | None = None) -> ComplexSlice:
     """The unnormalized bar complex of g through degree max_degree."""
-    return _bar_complex(g, max_degree, memory_budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _bar_complex(g: FiniteGroup, max_degree: int, memory_budget: int | None) -> ComplexSlice:
-    _check_budget(g.order, max_degree, memory_budget)
     order = g.order
     sizes = [order ** n for n in range(max_degree + 1)]
     boundaries = []
@@ -330,16 +361,10 @@ def _orbit_coords(acc: dict[int, int], lower: OrbitData, what: str) -> dict[int,
     return {k: v for k, v in out.items() if v}
 
 
+@_memoized
 def invariant_complex(action: GroupAction, max_degree: int,
                       memory_budget: int | None = None) -> ComplexSlice:
     """Subcomplex of Q-invariant chains, basis = orbit sums."""
-    return _invariant_complex(action, max_degree, memory_budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _invariant_complex(action: GroupAction, max_degree: int,
-                       memory_budget: int | None) -> ComplexSlice:
-    _check_budget(action.g.order, max_degree, memory_budget)
     data = [tuple_orbits(action, n) for n in range(max_degree + 1)]
     sizes = [d.count for d in data]
     basis = [BasisInfo("orbits", n, sizes[n], action.g.order,
@@ -357,16 +382,10 @@ def _invariant_complex(action: GroupAction, max_degree: int,
                          max_degree, sizes, boundaries, basis)
 
 
+@_memoized
 def coinvariant_complex(action: GroupAction, max_degree: int,
                         memory_budget: int | None = None) -> ComplexSlice:
     """Chains of the orbit space: basis = orbits, boundary via representatives."""
-    return _coinvariant_complex(action, max_degree, memory_budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _coinvariant_complex(action: GroupAction, max_degree: int,
-                         memory_budget: int | None) -> ComplexSlice:
-    _check_budget(action.g.order, max_degree, memory_budget)
     g = action.g
     order = g.order
     data = [tuple_orbits(action, n) for n in range(max_degree + 1)]
@@ -436,15 +455,10 @@ def _uniform_stabilizer(action: GroupAction, max_degree: int) -> int:
     return s
 
 
+@_memoized
 def quotient_complex_D(action: GroupAction, max_degree: int,
                        memory_budget: int | None = None) -> ComplexSlice:
     """Cokernel of the norm map, a complex of free Z/p-modules (D_0 = 0)."""
-    return _quotient_complex_D(action, max_degree, memory_budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _quotient_complex_D(action: GroupAction, max_degree: int,
-                        memory_budget: int | None) -> ComplexSlice:
     inv = invariant_complex(action, max_degree, memory_budget)
     p = _uniform_stabilizer(action, max_degree)
     if p == 0:
@@ -801,14 +815,9 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
+@_memoized
 def invariant_ses(action: GroupAction, max_degree: int,
                   memory_budget: int | None = None) -> InvariantSES:
-    return _invariant_ses(action, max_degree, memory_budget)
-
-
-@functools.lru_cache(maxsize=None)
-def _invariant_ses(action: GroupAction, max_degree: int,
-                   memory_budget: int | None) -> InvariantSES:
     if not _is_prime(action.q.order):
         raise GroupConstructionError("the norm-cokernel sequence needs prime |Q|")
     coinv = coinvariant_complex(action, max_degree, memory_budget).reduced_copy()
@@ -831,15 +840,6 @@ def s1_counterexample_complex() -> ComplexSlice:
     boundaries = (SparseIntMatrix.zero(1, 0), SparseIntMatrix.zero(0, 0))
     basis = (BasisInfo("point", 0, 1), BasisInfo("empty", 1, 0), BasisInfo("empty", 2, 0))
     return _finish_slice("circle-model-invariants", "custom", 2, sizes, boundaries, basis)
-
-
-def clear_caches() -> None:
-    tuple_orbits.cache_clear()
-    _bar_complex.cache_clear()
-    _invariant_complex.cache_clear()
-    _coinvariant_complex.cache_clear()
-    _quotient_complex_D.cache_clear()
-    _invariant_ses.cache_clear()
 
 
 # ---------------------------------------------------------------------------

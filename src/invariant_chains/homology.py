@@ -8,6 +8,11 @@ of the boundaries mod p; for composite m the universal-coefficient formula
 on the integral profile is used.  For prime coefficients both routes run
 and must agree.
 
+Each boundary d_1..d_max is eliminated once per profile: its invariant
+factors over Z, or its rank over Z/p.  `homology()` keeps each profile in
+the memo of `chains`, keyed by the slice object and the coefficients, until
+`chains.clear_caches()`.
+
 Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
 in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
 the boundaries in cycle coordinates are rows r: of V^-1*d_{n+1}, and their
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chains import ChainMap, ComplexSlice, InvariantSES, _is_prime
+from .chains import ChainMap, ComplexSlice, InvariantSES, _is_prime, _memo, clear_caches
 from .errors import InternalCheckError
 from .groups import GroupAction
 from .linalg import (AbelianHom, FgAbelianGroup, FgSubgroup, SparseIntMatrix, _SnfEngine,
@@ -65,8 +70,6 @@ class HomologyProfile:
             self.mode = "uct"
         self.top_degree = slice_.max_degree - 1
 
-        self._groups: dict[int, FgAbelianGroup] = {}
-        self._int_factors: dict[int, tuple[int, ...]] = {}
         self._bundles: dict[int, _Bundle] = {}
         self.uct_groups: dict[int, FgAbelianGroup] = {}
         # the integral profile backing UCT computations (shared via homology())
@@ -74,8 +77,14 @@ class HomologyProfile:
         if self.mode in ("uct", "field") and not slice_.modulus:
             self._integral = homology(slice_, COEFF_Z)
 
-        for n in range(self.top_degree + 1):
-            self._groups[n] = self._compute_group(n)
+        # per boundary, d_0 = 0 first, then d_1..d_max eliminated once each:
+        # the invariant factors over Z, the rank over Z/p
+        bnds = slice_.boundaries
+        if self.mode == "int":
+            self._boundary_data = ((),) + tuple(invariant_factors(d) for d in bnds)
+        elif self.mode == "field":
+            self._boundary_data = (0,) + tuple(rank_mod_p(d, self.coeff) for d in bnds)
+        self._groups = {n: self._compute_group(n) for n in range(self.top_degree + 1)}
         if self.mode == "field" and self._integral is not None:
             for n in range(self.top_degree + 1):
                 expected = self._integral.group_with_coefficients(n, self.coeff)
@@ -87,28 +96,14 @@ class HomologyProfile:
 
     # -- group computation -------------------------------------------------
 
-    def _factors(self, n: int) -> tuple[int, ...]:
-        """Invariant factors of d_n (n = 0 gives the empty boundary)."""
-        if n == 0 or n > self.slice.max_degree:
-            return ()
-        if n not in self._int_factors:
-            self._int_factors[n] = invariant_factors(self.slice.d(n))
-        return self._int_factors[n]
-
     def _compute_group(self, n: int) -> FgAbelianGroup:
+        if self.mode == "uct":
+            return self._integral.group_with_coefficients(n, self.coeff)
+        below, above = self._boundary_data[n], self._boundary_data[n + 1]
         if self.mode == "int":
-            rank_dn = len(self._factors(n))
-            above = self._factors(n + 1)
-            free = self.slice.sizes[n] - rank_dn - len(above)
-            torsion = tuple(d for d in above if d >= 2)
-            return FgAbelianGroup(free, torsion)
-        if self.mode == "field":
-            p = self.coeff
-            r_n = rank_mod_p(self.slice.d(n), p) if n >= 1 else 0
-            r_up = rank_mod_p(self.slice.d(n + 1), p)
-            b = self.slice.sizes[n] - r_n - r_up
-            return FgAbelianGroup(0, (p,) * b)
-        return self._integral.group_with_coefficients(n, self.coeff)
+            free = self.slice.sizes[n] - len(below) - len(above)
+            return FgAbelianGroup(free, tuple(d for d in above if d >= 2))
+        return FgAbelianGroup(0, (self.coeff,) * (self.slice.sizes[n] - below - above))
 
     def group(self, n: int) -> FgAbelianGroup:
         if not 0 <= n <= self.top_degree:
@@ -197,22 +192,16 @@ class HomologyProfile:
         return f"HomologyProfile({self.slice.name}; {self.coeff_str}; {parts})"
 
 
-_profile_cache: dict[tuple[int, int], tuple[ComplexSlice, HomologyProfile]] = {}
-
-
 def homology(slice_: ComplexSlice, coefficients: int = COEFF_Z) -> HomologyProfile:
-    """Homology of a slice over Z (coefficients=0) or Z/m; results are cached."""
-    key = (id(slice_), coefficients)
-    hit = _profile_cache.get(key)
-    if hit is not None and hit[0] is slice_:
-        return hit[1]
-    prof = HomologyProfile(slice_, coefficients)
-    _profile_cache[key] = (slice_, prof)
-    return prof
+    """Homology of a slice over Z (coefficients=0) or Z/m, kept in the chains memo."""
+    key = ("homology", slice_, coefficients)
+    if key not in _memo:
+        _memo[key] = HomologyProfile(slice_, coefficients)
+    return _memo[key]
 
 
-def clear_profile_cache() -> None:
-    _profile_cache.clear()
+# the old name of chains.clear_caches, still called by perfbench/workloads.py
+clear_profile_cache = clear_caches
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,7 @@ class _SnfEngine:
         self.v = _Lines.identity(m.cols, mod) if want_v else None
         self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
+        self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
         # pivot queue: a heap of keys count * cols + c, each checked against
         # the live count when it reaches the top; `_keyed[c]` is the count
         # column c was last queued with.  Column ops re-key their columns at
@@ -651,7 +652,10 @@ class _SnfEngine:
     def _quotient(self, b: int, a: int) -> int | None:
         """q with b = q*a in the ring, or None when a does not divide b."""
         if self.mod:
-            return b * pow(a, -1, self.mod) % self.mod
+            # no op of a clear over Z/p changes its pivot, so invert it once
+            if a != self._inverted[0]:
+                self._inverted = (a, pow(a, -1, self.mod))
+            return b * self._inverted[1] % self.mod
         return b // a if b % a == 0 else None
 
     def _clear_position(self, t: int):

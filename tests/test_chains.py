@@ -1,14 +1,18 @@
 """Bar complexes, orbit complexes, norm/quotient, serialization, budgets."""
 
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
 
+import invariant_chains
 from invariant_chains.chains import (bar_boundary, bar_complex, burnside_orbit_count,
-                                     coinvariant_complex, decode_tuple, encode_tuple,
-                                     estimate_build_bytes, fixed_inclusion_chain_map,
-                                     invariant_complex, invariant_inclusion_chain_map,
+                                     clear_caches, coinvariant_complex, decode_tuple,
+                                     encode_tuple, estimate_build_bytes,
+                                     fixed_inclusion_chain_map, invariant_complex,
+                                     invariant_inclusion_chain_map,
                                      invariant_ses, norm_chain_map, orbit_members,
                                      quotient_chain_map, quotient_complex_D,
                                      s1_counterexample_complex, slice_from_json,
@@ -17,6 +21,7 @@ from invariant_chains.chains import (bar_boundary, bar_complex, burnside_orbit_c
 from invariant_chains.errors import BudgetExceededError, GroupConstructionError
 from invariant_chains.groups import (generated_subgroup, make_cyclic, make_product,
                                      negation_action, trivial_action)
+from invariant_chains.homology import homology
 from invariant_chains.linalg import smith_normal_form
 
 
@@ -217,6 +222,50 @@ def test_budget_estimation_and_rejection():
         bar_complex(make_cyclic(4), 3, memory_budget=10)
     with pytest.raises(BudgetExceededError):
         invariant_complex(negation_action(4), 3, memory_budget=10)
+
+
+def memoized_calls():
+    """One call of each memoized builder, and of tuple_orbits, on small inputs."""
+    g, act = make_cyclic(3), negation_action(3)
+    return [lambda **kw: bar_complex(g, 3, **kw),
+            lambda **kw: invariant_complex(act, 3, **kw),
+            lambda **kw: coinvariant_complex(act, 3, **kw),
+            lambda **kw: quotient_complex_D(act, 3, **kw),
+            lambda **kw: invariant_ses(act, 3, **kw),
+            lambda: tuple_orbits(act, 2)]
+
+
+def test_budget_is_checked_on_memo_hits():
+    for build in memoized_calls()[:5]:
+        build()
+        with pytest.raises(BudgetExceededError):
+            build(memory_budget=10)
+
+
+def test_memo_key_leaves_out_the_budget():
+    act = negation_action(3)
+    assert invariant_complex(act, 3) is invariant_complex(act, 3, memory_budget=2 * 1024 ** 3)
+    assert bar_complex(act.g, 3, memory_budget=10 ** 12) is bar_complex(act.g, 3)
+
+
+def test_clear_caches_empties_the_memo():
+    calls = memoized_calls()
+    before = [call() for call in calls]
+    prof = homology(before[1])
+    assert all(call() is old for call, old in zip(calls, before))
+    assert homology(before[1]) is prof
+    clear_caches()
+    assert all(call() is not old for call, old in zip(calls, before))
+    assert homology(before[1]) is not prof
+
+
+def test_no_function_keeps_a_cache_of_its_own():
+    # an lru_cache anywhere in the package would escape clear_caches()
+    for info in pkgutil.iter_modules(invariant_chains.__path__):
+        module = importlib.import_module(f"invariant_chains.{info.name}")
+        for name, obj in vars(module).items():
+            for member in (vars(obj).values() if isinstance(obj, type) else (obj,)):
+                assert not hasattr(member, "cache_info"), f"{info.name}.{name}"
 
 
 def test_slice_serialization_round_trip():

@@ -1,8 +1,10 @@
 """Command-line interface: output schema, round-trips, exit codes, cache."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from invariant_chains import cli
 from invariant_chains.theorems import VerificationReport
@@ -181,10 +183,14 @@ def test_cache_is_keyed_by_content(tmp_path, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the package from where this process found it,
+    # installed or not
+    here = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (here, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "invariant_chains.cli", "classical", "--group",
          "cyclic:2", "--max-degree", "2", "--format", "json"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["homology"][1]["torsion"] == [2]

@@ -1,11 +1,14 @@
 """Homology profiles, induced maps, actions on homology, the connecting map
 and exactness reports."""
 
+import importlib
+
 import pytest
 
-from invariant_chains.chains import (ComplexSlice, bar_complex, coinvariant_complex,
-                                     invariant_complex, invariant_inclusion_chain_map,
-                                     invariant_ses, fixed_inclusion_chain_map,
+from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
+                                     coinvariant_complex, invariant_complex,
+                                     invariant_inclusion_chain_map, invariant_ses,
+                                     fixed_inclusion_chain_map,
                                      quotient_complex_D, s1_counterexample_complex,
                                      subgroup_bar_inclusion)
 from invariant_chains.errors import InternalCheckError
@@ -245,3 +248,26 @@ def test_boundary_that_is_not_a_cycle_is_caught():
         prof = HomologyProfile(slc, coeff)
         with pytest.raises(InternalCheckError, match="boundary column is not a cycle"):
             prof.generators(1)
+
+
+def test_profiles_eliminate_each_boundary_once(monkeypatch):
+    # the package binds the name `homology` to the function, so look the module up
+    homology_module = importlib.import_module("invariant_chains.homology")
+    calls = []
+
+    def counting(name):
+        real = getattr(homology_module, name)
+
+        def wrapper(m, *args):
+            calls.append((name, m))
+            return real(m, *args)
+        return wrapper
+
+    for name in ("invariant_factors", "rank_mod_p"):
+        monkeypatch.setattr(homology_module, name, counting(name))
+    clear_caches()
+    inv = invariant_complex(negation_action(6), 5)
+    for coeff, name in ((0, "invariant_factors"), (3, "rank_mod_p")):
+        calls.clear()
+        homology(inv, coeff)  # the Z/3 profile reuses the Z profile from the memo
+        assert [(n, id(m)) for n, m in calls] == [(name, id(d)) for d in inv.boundaries]
