@@ -16,7 +16,7 @@ from .groups import (FiniteGroup, GroupAction, Subgroup, coset_representatives,
                      parse_group_spec, trivial_action, trivial_subgroup)
 from .linalg import (AbelianHom, FgAbelianGroup, FgSubgroup, SnfResult, SparseIntMatrix,
                      fixed_points_of_hom_family, image_of_hom, invariant_factors,
-                     kernel_basis, kernel_of_hom, make_hom, present_fg_abelian,
+                     kernel_basis, kernel_of_hom, present_fg_abelian,
                      smith_normal_form, solve_in_lattice)
 from .chains import (BarTuple, ChainMap, ComplexSlice, InvariantSES, bar_boundary,
                      bar_complex, burnside_orbit_count, coinvariant_complex,

@@ -26,8 +26,8 @@ from .chains import (bar_complex, burnside_orbit_count, coinvariant_complex,
                      estimate_build_bytes, fixed_inclusion_chain_map, invariant_complex,
                      invariant_inclusion_chain_map, norm_chain_map, quotient_complex_D,
                      slice_from_json, slice_to_json)
-from .errors import BudgetExceededError, SpecParseError
-from .groups import (FiniteGroup, GroupAction, fixed_subgroup, generated_subgroup,
+from .errors import BudgetExceededError, GroupConstructionError, SpecParseError
+from .groups import (FiniteGroup, GroupAction, Subgroup, fixed_subgroup, generated_subgroup,
                      parse_action_spec, parse_group_spec, trivial_subgroup)
 from .homology import fixed_homology, homology, induced_map
 from .linalg import image_of_hom, kernel_of_hom
@@ -69,6 +69,20 @@ def _parse_budget(spec: str) -> int:
         return int(spec) * mult
     except ValueError:
         raise SpecParseError(f"bad memory budget {spec!r}") from None
+
+
+def _parse_subgroup(spec: str, g: FiniteGroup) -> Subgroup:
+    if spec == "trivial":
+        return trivial_subgroup(g)
+    try:
+        index = int(spec)
+    except ValueError:
+        raise SpecParseError(
+            f"bad subgroup spec {spec!r} (use trivial or an element index)") from None
+    if not 0 <= index < g.order:
+        raise SpecParseError(
+            f"subgroup generator {index} is not an element index 0..{g.order - 1}")
+    return generated_subgroup(g, [index])
 
 
 def _emit(payload: dict, fmt: str, render_table) -> None:
@@ -342,11 +356,7 @@ def cmd_verify(args) -> int:
                 if args.subgroup is None:
                     print("suite 'transfer' needs --subgroup", file=sys.stderr)
                     return EXIT_BAD_SPEC
-                if args.subgroup == "trivial":
-                    k = trivial_subgroup(g)
-                else:
-                    k = generated_subgroup(g, [int(args.subgroup)])
-                report = suite(g, k, action, args.max_degree)
+                report = suite(g, _parse_subgroup(args.subgroup, g), action, args.max_degree)
             else:  # divisible
                 report = suite(g, action)
         reports.append(report)
@@ -377,6 +387,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_degree < 0:
+            raise SpecParseError(f"--max-degree must be >= 0, got {args.max_degree}")
         if args.command == "compute":
             return cmd_compute(args)
         if args.command == "classical":
@@ -386,7 +398,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         parser.error(f"unknown command {args.command}")
-    except SpecParseError as exc:
+    except (SpecParseError, GroupConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     except BudgetExceededError as exc:

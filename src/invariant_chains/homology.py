@@ -219,12 +219,8 @@ def induced_map(f: ChainMap, source_h: HomologyProfile, target_h: HomologyProfil
         raise ValueError("coefficient mismatch between profiles")
     src_group = source_h.group(n)
     dst_group = target_h.group(n)
-    cols = []
-    for gen in source_h.generators(n):
-        pushed = f.mat(n).mul_vec(gen)
-        cols.append(target_h.reduce(n, pushed))
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(dst_group.ngens)]
-    return AbelianHom(src_group, dst_group, matrix)
+    cols = [target_h.reduce(n, f.mat(n).mul_vec(gen)) for gen in source_h.generators(n)]
+    return AbelianHom.from_columns(src_group, dst_group, cols)
 
 
 def action_on_homology(action: GroupAction, profile: HomologyProfile,
@@ -249,8 +245,7 @@ def action_on_homology(action: GroupAction, profile: HomologyProfile,
             entries[(encode_tuple(order, tuple(p[x] for x in tup)), t)] = 1
         mat = SparseIntMatrix(order ** n, order ** n, entries)
         cols = [profile.reduce(n, mat.mul_vec(g)) for g in gens]
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(group.ngens)]
-        homs.append(AbelianHom(group, group, matrix))
+        homs.append(AbelianHom.from_columns(group, group, cols))
     return homs
 
 
@@ -263,8 +258,7 @@ def fixed_homology(action: GroupAction, profile: HomologyProfile, n: int) -> FgS
 # connecting homomorphism and long exact sequence
 
 
-def connecting_homomorphism(ses: InvariantSES, n: int,
-                            validate_lifts: bool = True) -> AbelianHom:
+def connecting_homomorphism(ses: InvariantSES, n: int) -> AbelianHom:
     """Zig-zag map h_n(coker N) -> H_{n-1}(orbit space) of the norm sequence.
 
     Lift a cokernel cycle into the invariant complex, take its boundary,
@@ -285,7 +279,8 @@ def connecting_homomorphism(ses: InvariantSES, n: int,
     norm_diag = ses.norm.mat(n - 1)
     inv_d = ses.invariants.d(n)
 
-    free_positions = [j for j in range(ses.invariants.sizes[n]) if j not in set(d_to_inv)]
+    lifted = set(d_to_inv)
+    free_positions = [j for j in range(ses.invariants.sizes[n]) if j not in lifted]
 
     def push(lift: list[int]) -> tuple[int, ...]:
         w = inv_d.mul_vec(lift)
@@ -309,20 +304,18 @@ def connecting_homomorphism(ses: InvariantSES, n: int,
             if c:
                 lift[d_to_inv[i]] = c % p
         coords = push(lift)
-        if validate_lifts:
-            if d_to_inv:
-                alt = list(lift)
-                alt[d_to_inv[0]] += p
-                if push(alt) != coords:
-                    raise InternalCheckError("connecting map depends on the lift")
-            if free_positions:
-                alt = list(lift)
-                alt[free_positions[0]] += 1
-                if push(alt) != coords:
-                    raise InternalCheckError("connecting map depends on the lift")
+        if d_to_inv:
+            alt = list(lift)
+            alt[d_to_inv[0]] += p
+            if push(alt) != coords:
+                raise InternalCheckError("connecting map depends on the lift")
+        if free_positions:
+            alt = list(lift)
+            alt[free_positions[0]] += 1
+            if push(alt) != coords:
+                raise InternalCheckError("connecting map depends on the lift")
         cols.append(coords)
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(dst.ngens)]
-    return AbelianHom(src, dst, matrix)
+    return AbelianHom.from_columns(src, dst, cols)
 
 
 @dataclass
@@ -364,13 +357,13 @@ class ExactnessReport:
 
 def exactness_check(node: LesNode) -> ExactnessReport:
     """At each interior node: composite is zero and |im in| = |ker out|."""
+    image_orders = [image_of_hom(m).order() for m in node.maps]
     records = []
     for i in range(1, len(node.groups) - 1):
         f, g = node.maps[i - 1], node.maps[i]
         composite = g.compose(f)
-        im_f = image_of_hom(f).order()
+        im_f, im_g = image_orders[i - 1], image_orders[i]
         ker_g = kernel_of_hom(g).order()
-        im_g = image_of_hom(g).order()
         here = node.groups[i].order()
         if None in (im_f, ker_g, im_g, here):
             raise ValueError("exactness check needs finite groups")

@@ -9,8 +9,11 @@ and V^-1 its caller asks for.  Everything else is read off it:
   * kernel_basis           -- V[:, r:], a saturated basis of the kernel lattice
   * solve_in_lattice       -- U*b divided by the invariant factors, then times V
   * present_fg_abelian     -- invariant-factor presentation of R^k / relations
-  * FgAbelianGroup, AbelianHom, FgSubgroup  -- finitely generated abelian
-    groups with generator data, homomorphisms, kernels/images/fixed points
+  * FgAbelianGroup, AbelianHom  -- finitely generated abelian groups with
+    generator data, and homomorphisms between them
+  * FgSubgroup             -- one Smith form of [G | R], generators beside the
+    ambient relations, gives its presentation and membership; kernels and
+    fixed points are the preimages of a relation lattice
 
 Pivoting is deterministic: structural (Markowitz-style minimal fill) with
 minimal-magnitude and lowest-index tie-breaks, so results are reproducible
@@ -959,12 +962,9 @@ def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix,
 # homomorphisms, kernels, images, fixed points
 
 
-def _relation_matrix(group: FgAbelianGroup) -> SparseIntMatrix:
-    """Columns t_i * e_i for the finite-order generators."""
-    cols = []
-    for i, t in enumerate(group.torsion):
-        cols.append({i: t})
-    return SparseIntMatrix.from_columns(group.ngens, cols)
+def _relation_matrix(orders: Sequence[int]) -> SparseIntMatrix:
+    """Columns o_i * e_i for the finite generator orders o_i (0 means infinite)."""
+    return SparseIntMatrix.from_columns(len(orders), [{i: o} for i, o in enumerate(orders) if o])
 
 
 class AbelianHom:
@@ -1000,6 +1000,12 @@ class AbelianHom:
         self.matrix = tuple(tuple(row) for row in matrix)
 
     @classmethod
+    def from_columns(cls, source: FgAbelianGroup, target: FgAbelianGroup,
+                     cols: Sequence[Vector]) -> "AbelianHom":
+        """The hom sending source generator j to the target coordinates cols[j]."""
+        return cls(source, target, [[col[i] for col in cols] for i in range(target.ngens)])
+
+    @classmethod
     def identity(cls, group: FgAbelianGroup) -> "AbelianHom":
         n = group.ngens
         return cls(group, group, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -1021,16 +1027,16 @@ class AbelianHom:
             out[i] = sum(w * x for w, x in zip(row, coords))
         return self.target.normalize(out)
 
+    def columns(self) -> list[tuple[int, ...]]:
+        """The image of each source generator, in target coordinates."""
+        return [tuple(row[j] for row in self.matrix) for j in range(self.source.ngens)]
+
     def compose(self, other: "AbelianHom") -> "AbelianHom":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition type mismatch")
-        cols = []
-        for j in range(other.source.ngens):
-            col = [other.matrix[i][j] for i in range(other.target.ngens)]
-            cols.append(self.apply(col))
-        matrix = [[cols[j][i] for j in range(len(cols))] for i in range(self.target.ngens)]
-        return AbelianHom(other.source, self.target, matrix)
+        return AbelianHom.from_columns(other.source, self.target,
+                                       [self.apply(col) for col in other.columns()])
 
     def is_zero_map(self) -> bool:
         orders = self.target.gen_orders()
@@ -1052,17 +1058,6 @@ class AbelianHom:
     def __repr__(self):
         return f"AbelianHom({self.source} -> {self.target})"
 
-    def kernel(self) -> "FgSubgroup":
-        return kernel_of_hom(self)
-
-    def image(self) -> "FgSubgroup":
-        return image_of_hom(self)
-
-
-def make_hom(source: FgAbelianGroup, target: FgAbelianGroup,
-             matrix: Sequence[Sequence[int]]) -> AbelianHom:
-    return AbelianHom(source, target, matrix)
-
 
 @dataclass
 class FgSubgroup:
@@ -1082,105 +1077,74 @@ class FgSubgroup:
     def same_subgroup(self, other: "FgSubgroup") -> bool:
         if self.ambient != other.ambient:
             return False
-        mine = [list(col) for col in zip(*self.inclusion.matrix)] if self.group.ngens else []
-        theirs = [list(col) for col in zip(*other.inclusion.matrix)] if other.group.ngens else []
-        return all(other.contains(g) for g in mine) and all(self.contains(g) for g in theirs)
+        return (all(other.contains(g) for g in self.inclusion.columns())
+                and all(self.contains(g) for g in other.inclusion.columns()))
 
 
 def _subgroup_from_generators(ambient: FgAbelianGroup,
-                              gen_cols: Sequence[Sequence[int]]) -> FgSubgroup:
-    """Subgroup of `ambient` generated by the classes of the given vectors."""
-    m = ambient.ngens
-    rel = _relation_matrix(ambient)
-    gmat = SparseIntMatrix.from_columns(m, [dict(enumerate(g)) for g in gen_cols])
+                              gen_cols: Sequence[Vector]) -> FgSubgroup:
+    """Subgroup of `ambient` generated by the classes of the given vectors.
+
+    One Smith form of [G | R], G the generators and R the relations of
+    `ambient`, gives both the relations among the generators (the G part of
+    its kernel) and membership in the subgroup (a lattice solve).
+    """
+    gmat = SparseIntMatrix.from_columns(ambient.ngens, gen_cols)
     g = gmat.cols
-    # relations among the chosen generators: c with G*c in the relation lattice
-    block = gmat.hstack(rel)
-    ker = kernel_basis(block)
-    rel_cols = []
-    for c in range(ker.cols):
-        col = {r: v for (r, v) in ker.column(c) if r < g}
-        rel_cols.append(col)
+    membership = ColumnEchelon(gmat.hstack(_relation_matrix(ambient.gen_orders())))
+    ker = membership.kernel_matrix()
+    rel_cols = [{r: v for r, v in ker.column(c) if r < g} for c in range(ker.cols)]
     presented = present_fg_abelian(g, SparseIntMatrix.from_columns(g, rel_cols))
     # inclusion: push each abstract generator through G into ambient coords
-    incl_cols = []
-    for gen in (presented.gens or ()):
-        vec = gmat.mul_vec(list(gen))
-        incl_cols.append(ambient.normalize(vec))
-    matrix = [[incl_cols[j][i] for j in range(len(incl_cols))] for i in range(m)]
-    inclusion = AbelianHom(presented, ambient, matrix)
-    membership = ColumnEchelon(block)
+    incl_cols = [ambient.normalize(gmat.mul_vec(list(gen))) for gen in presented.gens]
+    inclusion = AbelianHom.from_columns(presented, ambient, incl_cols)
     return FgSubgroup(ambient, presented, inclusion, membership)
 
 
-def kernel_of_hom(h: AbelianHom) -> FgSubgroup:
-    m_s, m_t = h.source.ngens, h.target.ngens
-    hm = SparseIntMatrix.from_columns(
-        m_t, [{i: h.matrix[i][j] for i in range(m_t) if h.matrix[i][j]} for j in range(m_s)])
-    block = hm.hstack(_relation_matrix(h.target))
-    ker = kernel_basis(block)
+def _preimage_of_relations(source: FgAbelianGroup, rows: Sequence[Vector],
+                           target_orders: Sequence[int]) -> FgSubgroup:
+    """Subgroup of the x in `source` with rows*x in the lattice of `target_orders`.
+
+    Each such x is the H part of a kernel vector of [H | R], R the relation
+    matrix of the target orders.  R has independent columns, so no kernel
+    basis vector has H part 0.  The source relations are added as generators.
+    """
+    n = source.ngens
+    h = SparseIntMatrix.from_dense(rows, n)
+    ker = kernel_basis(h.hstack(_relation_matrix(target_orders)))
     gens = []
     for c in range(ker.cols):
-        vec = [0] * m_s
+        vec = [0] * n
         for r, v in ker.column(c):
-            if r < m_s:
+            if r < n:
                 vec[r] = v
         gens.append(vec)
-    # always include the source relations so the lattice contains them
-    for i, t in enumerate(h.source.torsion):
-        vec = [0] * m_s
+    for i, t in enumerate(source.torsion):
+        vec = [0] * n
         vec[i] = t
         gens.append(vec)
-    return _subgroup_from_generators(h.source, gens)
+    return _subgroup_from_generators(source, gens)
+
+
+def kernel_of_hom(h: AbelianHom) -> FgSubgroup:
+    return _preimage_of_relations(h.source, h.matrix, h.target.gen_orders())
 
 
 def image_of_hom(h: AbelianHom) -> FgSubgroup:
-    m_t = h.target.ngens
-    cols = [[h.matrix[i][j] for i in range(m_t)] for j in range(h.source.ngens)]
-    return _subgroup_from_generators(h.target, cols)
+    return _subgroup_from_generators(h.target, h.columns())
 
 
 def fixed_points_of_hom_family(group: FgAbelianGroup,
                                actions: Sequence[AbelianHom]) -> FgSubgroup:
-    """Subgroup of elements fixed by every endomorphism in the family."""
-    m = group.ngens
+    """Subgroup of elements fixed by every endomorphism in the family.
+
+    These are the kernel of x -> ((rho_i - 1) x)_i.  The rows of rho_i - 1
+    are passed unreduced: an `AbelianHom` would reduce them mod the torsion
+    and so change the kernel basis.
+    """
     for a in actions:
         if a.source != group or a.target != group:
             raise ValueError("actions must be endomorphisms of the group")
-    if not actions:
-        return _subgroup_from_generators(
-            group, [[1 if i == j else 0 for i in range(m)] for j in range(m)])
-    rel = _relation_matrix(group)
-    k = rel.cols
-    blocks = []
-    for a in actions:
-        entries = {}
-        for i in range(m):
-            for j in range(m):
-                v = a.matrix[i][j] - (1 if i == j else 0)
-                if v:
-                    entries[(i, j)] = v
-        blocks.append(SparseIntMatrix(m, m, entries))
-    # stacked system: for each action, (rho - 1) x + rel * y_rho = 0
-    n_actions = len(actions)
-    big_entries = {}
-    for bi, blk in enumerate(blocks):
-        for (r, c), v in blk.entries.items():
-            big_entries[(bi * m + r, c)] = v
-        for (r, c), v in rel.entries.items():
-            big_entries[(bi * m + r, m + bi * k + c)] = v
-    big = SparseIntMatrix(n_actions * m, m + n_actions * k, big_entries)
-    ker = kernel_basis(big)
-    gens = []
-    for c in range(ker.cols):
-        vec = [0] * m
-        for r, v in ker.column(c):
-            if r < m:
-                vec[r] = v
-        if any(vec):
-            gens.append(vec)
-    for i, t in enumerate(group.torsion):
-        vec = [0] * m
-        vec[i] = t
-        gens.append(vec)
-    return _subgroup_from_generators(group, gens)
+    rows = [[v - (i == j) for j, v in enumerate(row)]
+            for a in actions for i, row in enumerate(a.matrix)]
+    return _preimage_of_relations(group, rows, group.gen_orders() * len(actions))

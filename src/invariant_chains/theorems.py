@@ -17,6 +17,7 @@ from .chains import (_is_prime, bar_boundary, bar_complex, coinvariant_complex, 
                      invariant_complex, invariant_inclusion_chain_map, invariant_ses,
                      quotient_complex_D, subgroup_invariant_inclusion, transfer_chain_map,
                      tuple_orbits, orbit_members)
+from .errors import InternalCheckError, SpecParseError
 from .groups import (FiniteGroup, GroupAction, Subgroup, fixed_subgroup,
                      generated_subgroup, negation_action)
 from .homology import exactness_check, fixed_homology, homology, induced_map, invariant_les
@@ -150,8 +151,7 @@ def _istar_claims(report: VerificationReport, action: GroupAction, max_degree: i
         i_star = induced_map(incl, inv_prof, bar_prof, deg)
         fixed_sub = fixed_homology(action, bar_prof, deg)
         image = image_of_hom(i_star)
-        contained = all(fixed_sub.contains(col)
-                        for col in zip(*image.inclusion.matrix)) if image.group.ngens else True
+        contained = all(fixed_sub.contains(col) for col in image.inclusion.columns())
         report.check(f"image(i_*) inside fixed classes, degree {deg}", contained)
         ker = kernel_of_hom(i_star)
         q_order = action.q.order
@@ -171,10 +171,10 @@ def _istar_claims(report: VerificationReport, action: GroupAction, max_degree: i
 
 
 @_timed
-def suite_n_odd(n: int, max_degree: int = 5, map_degree: int | None = None) -> VerificationReport:
+def suite_n_odd(n: int, max_degree: int = 5) -> VerificationReport:
     """Invariant homology of negation on an odd cyclic group."""
     if n % 2 == 0:
-        raise ValueError("suite_n_odd needs odd n")
+        raise SpecParseError("suite_n_odd needs odd n")
     report = VerificationReport(f"n_odd(n={n}, max_degree={max_degree})")
     action = negation_action(n)
     prof = homology(invariant_complex(action, max_degree + 1))
@@ -182,16 +182,15 @@ def suite_n_odd(n: int, max_degree: int = 5, map_degree: int | None = None) -> V
     for deg in range(1, max_degree + 1):
         report.expect(f"degree {deg}", expected_invariant_homology_odd(n, deg),
                       prof.group(deg))
-    _istar_claims(report, action, max_degree if map_degree is None else map_degree,
-                  expect_iso_onto_fixed=True)
+    _istar_claims(report, action, max_degree, expect_iso_onto_fixed=True)
     return report
 
 
 @_timed
-def suite_n_2k(k: int, max_degree: int = 4, map_degree: int | None = None) -> VerificationReport:
+def suite_n_2k(k: int, max_degree: int = 4) -> VerificationReport:
     """Invariant homology of negation on Z/2k, k odd, plus the j_* reduction."""
     if k % 2 == 0:
-        raise ValueError("suite_n_2k needs odd k")
+        raise SpecParseError("suite_n_2k needs odd k")
     report = VerificationReport(f"n_2k(k={k}, max_degree={max_degree})")
     n = 2 * k
     action = negation_action(n)
@@ -211,8 +210,7 @@ def suite_n_2k(k: int, max_degree: int = 4, map_degree: int | None = None) -> Ve
         j2 = induced_map(j, prof_k2, prof_g2, deg)
         report.check(f"j_* iso on mod-2 homology, degree {deg}", _is_iso(j2),
                      f"{j2.source} -> {j2.target}")
-    _istar_claims(report, action, max_degree if map_degree is None else map_degree,
-                  expect_iso_onto_fixed=True)
+    _istar_claims(report, action, max_degree, expect_iso_onto_fixed=True)
     return report
 
 
@@ -220,7 +218,7 @@ def suite_n_2k(k: int, max_degree: int = 4, map_degree: int | None = None) -> Ve
 def suite_n_0_mod_4(s: int, max_degree: int = 5) -> VerificationReport:
     """Invariant homology of negation on Z/2^s (s >= 2) and its orbit space."""
     if s < 2:
-        raise ValueError("suite_n_0_mod_4 needs s >= 2")
+        raise SpecParseError("suite_n_0_mod_4 needs s >= 2")
     report = VerificationReport(f"n_0_mod_4(s={s}, max_degree={max_degree})")
     action = negation_action(2 ** s)
     n_build = max_degree + 1
@@ -449,7 +447,7 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
             try:
                 chains._orbit_coords(enc, data2, "divisible-suite")
                 report.check(f"orbit {zs}: {label} family is invariant", True)
-            except Exception:
+            except InternalCheckError:
                 report.check(f"orbit {zs}: {label} family is invariant", False)
 
         # the induced degree-1 relation holds in invariant homology
@@ -501,7 +499,7 @@ def truncated_integer_h1(bound: int) -> VerificationReport:
     odd classes coincide with order exactly 2.
     """
     if bound < 5:
-        raise ValueError("bound must be at least 5")
+        raise SpecParseError("bound must be at least 5")
     report = VerificationReport(f"integer_line(bound={bound})")
     m = bound
     ngens = 2 * m + 1  # index 0 = [0]; index i = s(i)

@@ -126,6 +126,23 @@ def test_bad_specs_exit_2(capsys):
     assert cli.main(["compute", "--group", "cyclic:4", "--coeff", "Q"]) == 2
     assert cli.main(["compute", "--group", "cyclic:4", "--action", "spin"]) == 2
     assert cli.main(["verify", "transfer", "--group", "cyclic:6"]) == 2
+    capsys.readouterr()
+    # each of these exits 2 with one error line and no output, not a traceback
+    for argv in (["compute", "--group", "cyclic:0"],
+                 ["compute", "--group", "cyclic:4", "--max-degree", "-2"],
+                 ["compute", "--group", "cyclic:4", "--max-degree", "-1"],
+                 ["classical", "--group", "cyclic:4", "--max-degree", "-1"],
+                 ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "abc"],
+                 ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "99"],
+                 ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "6"],
+                 ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "-1"],
+                 ["verify", "n_odd", "--n", "4"],
+                 ["verify", "n_2k", "--k", "2"],
+                 ["verify", "n_0_mod_4", "--s", "1"],
+                 ["verify", "integer_line", "--bound", "3"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_budget_exceeded_exits_3(capsys):

@@ -1,13 +1,20 @@
 """Exact linear algebra: Smith form, kernels, lattice solves, presentations."""
 
+import importlib
+import itertools
+import math
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from invariant_chains.chains import invariant_complex
-from invariant_chains.groups import inversion_action, make_cyclic
+from invariant_chains import linalg
+from invariant_chains.chains import invariant_complex, invariant_ses
+from invariant_chains.groups import inversion_action, make_cyclic, negation_action
+from invariant_chains.homology import exactness_check, invariant_les
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
                                      SparseIntMatrix, _Lines, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
@@ -325,6 +332,7 @@ def test_fixed_points_examples():
     z5 = FgAbelianGroup(0, (5,))
     assert fixed_points_of_hom_family(z5, [AbelianHom.scalar(z5, -1)]).order() == 1
     assert fixed_points_of_hom_family(z4, [AbelianHom.identity(z4)]).group == z4
+    assert fixed_points_of_hom_family(z4, []).group == z4
 
 
 def test_fixed_points_mixed_presentation():
@@ -343,6 +351,109 @@ def test_subgroup_membership_and_equality():
     assert im2.same_subgroup(im6)
     im4 = image_of_hom(AbelianHom.scalar(z8, 4))
     assert not im2.same_subgroup(im4)
+
+
+def test_each_subgroup_takes_one_smith_form(monkeypatch):
+    built = []
+    init = ColumnEchelon.__init__
+
+    def counting_init(self, m):
+        built.append(m)
+        init(self, m)
+
+    monkeypatch.setattr(linalg.ColumnEchelon, "__init__", counting_init)
+    g = FgAbelianGroup(1, (2, 4))
+    h = AbelianHom(g, g, [[1, 0, 0], [0, 1, 2], [0, 0, 1]])
+    image_of_hom(h)
+    assert len(built) == 1  # [G | R], for relations and membership alike
+    built.clear()
+    kernel_of_hom(h)
+    assert len(built) == 2  # the preimage [H | R], then the subgroup's [G | R]
+
+
+def test_exactness_check_takes_each_image_once(monkeypatch):
+    # the package exports a function named `homology`, which hides the module
+    homology = importlib.import_module("invariant_chains.homology")
+    les = invariant_les(invariant_ses(negation_action(4), 4), 3)
+    calls = []
+    image = homology.image_of_hom
+
+    def counting_image(h):
+        calls.append(h)
+        return image(h)
+
+    monkeypatch.setattr(homology, "image_of_hom", counting_image)
+    report = exactness_check(les)
+    assert len(report.records) == len(les.maps) - 1
+    assert len(calls) == len(les.maps)
+    assert all(a is b for a, b in zip(calls, les.maps))
+
+
+# random well-defined homs between small presented groups
+
+@st.composite
+def presented_groups(draw):
+    free = draw(st.integers(0, 2))
+    orders = draw(st.lists(st.integers(2, 6), max_size=3))
+    return FgAbelianGroup.from_orders(free, orders)
+
+
+@st.composite
+def homs(draw, source=None, target=None):
+    if source is None:
+        source = draw(presented_groups())
+    if target is None:
+        target = draw(presented_groups())
+    matrix = []
+    for t in target.gen_orders():
+        row = []
+        for o in source.gen_orders():
+            k = draw(st.integers(-6, 6))
+            if o == 0:
+                row.append(k)  # a free generator may go anywhere
+            elif t == 0:
+                row.append(0)  # torsion has no image in a free coordinate
+            else:
+                row.append(k * (t // math.gcd(o, t)))  # o * entry = 0 mod t
+        matrix.append(row)
+    return AbelianHom(source, target, matrix)
+
+
+@st.composite
+def endomorphisms(draw):
+    g = draw(presented_groups())
+    return draw(homs(source=g, target=g))
+
+
+def elements(group):
+    """Every element of a finite group, in normal form."""
+    return itertools.product(*(range(t) for t in group.torsion))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(homs())
+def test_kernel_and_image_properties(h):
+    ker, im = kernel_of_hom(h), image_of_hom(h)
+    zero = (0,) * h.target.ngens
+    assert all(h.apply(col) == zero for col in ker.inclusion.columns())
+    assert all(im.contains(col) for col in h.columns())
+    for sub in (ker, im):
+        assert all(sub.contains(col) for col in sub.inclusion.columns())
+    if h.source.order() is not None:
+        assert ker.order() * im.order() == h.source.order()
+        # the kernel holds exactly the elements h sends to 0
+        assert all(ker.contains(x) == (h.apply(x) == zero) for x in elements(h.source))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(endomorphisms())
+def test_fixed_points_are_the_kernel_of_rho_minus_one(rho):
+    g = rho.source
+    rho_minus_one = AbelianHom(g, g, [[v - (i == j) for j, v in enumerate(row)]
+                                      for i, row in enumerate(rho.matrix)])
+    fixed = fixed_points_of_hom_family(g, [rho])
+    assert fixed.same_subgroup(kernel_of_hom(rho_minus_one))
+    assert all(fixed.contains(col) for col in fixed.inclusion.columns())
 
 
 def test_field_echelon_and_ranks():

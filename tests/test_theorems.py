@@ -6,6 +6,10 @@ claims at degrees congruent to 3 mod 4 fail against the computed groups
 claims those are so any behavioral drift is caught.
 """
 
+import pytest
+
+from invariant_chains import chains
+from invariant_chains.errors import InternalCheckError
 from invariant_chains.groups import (generated_subgroup, make_cyclic, negation_action,
                                      trivial_subgroup)
 from invariant_chains.linalg import FgAbelianGroup
@@ -88,6 +92,26 @@ def test_divisible_chain_boundary_example():
     claim = next(c for c in report.claims if "power family" in c.name)
     assert claim.passed
     assert claim.computed == str(sorted({1: 2, 6: 2, 2: -1, 5: -1}.items()))
+
+
+@pytest.mark.parametrize("fault", [InternalCheckError, IndexError])
+def test_divisible_invariance_claim_fails_only_on_the_check(monkeypatch, fault):
+    # a non-invariant family fails its claim; any other fault propagates
+    orbit_coords = chains._orbit_coords
+
+    def faulty(acc, lower, what):
+        if what == "divisible-suite":
+            raise fault("injected")
+        return orbit_coords(acc, lower, what)
+
+    monkeypatch.setattr(chains, "_orbit_coords", faulty)
+    if fault is IndexError:
+        with pytest.raises(IndexError):
+            suite_divisible_relation(make_cyclic(7), negation_action(7), orbit_reps=[1])
+        return
+    report = suite_divisible_relation(make_cyclic(7), negation_action(7), orbit_reps=[1])
+    assert sorted(c.name for c in report.claims if not c.passed) == [
+        "orbit [1, 6]: power family is invariant", "orbit [1, 6]: product family is invariant"]
 
 
 def test_truncated_integer_h1_checks():
