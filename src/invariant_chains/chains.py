@@ -23,11 +23,9 @@ from typing import Sequence
 
 from .errors import BudgetExceededError, EquivarianceError, GroupConstructionError, \
     InternalCheckError
-from .groups import FiniteGroup, GroupAction, Subgroup, fixed_subgroup, \
-    is_q_stable, restrict_action
+from .groups import DEFAULT_MEMORY_BUDGET, FiniteGroup, GroupAction, Subgroup, \
+    fixed_subgroup, is_q_stable, restrict_action
 from .linalg import SparseIntMatrix
-
-DEFAULT_MEMORY_BUDGET = 2 * 1024 ** 3
 
 BarTuple = tuple[int, ...]
 

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chains import (bar_complex, burnside_orbit_count, coinvariant_complex,
+from .chains import (_is_prime, bar_complex, burnside_orbit_count, coinvariant_complex,
                      estimate_build_bytes, fixed_inclusion_chain_map, invariant_complex,
                      invariant_inclusion_chain_map, norm_chain_map, quotient_complex_D,
                      slice_from_json, slice_to_json)
@@ -173,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
                        help=f"slice cache directory (env {CACHE_ENV})")
         p.add_argument("--memory-budget", default="2G",
-                       help="builder memory budget, e.g. 512M or 2G (default 2G)")
+                       help="memory budget of the group table and the builders, "
+                            "e.g. 512M or 2G (default 2G)")
 
     p_compute = sub.add_parser("compute", help="invariant homology of an action")
     common(p_compute)
@@ -210,7 +211,7 @@ def cmd_compute(args) -> int:
     coeff = _parse_coeff(args.coeff)
     if args.maps and coeff != 0:
         raise SpecParseError("--maps is supported for integral coefficients")
-    g = parse_group_spec(args.group)
+    g = parse_group_spec(args.group, budget)
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1
     if args.maps:
@@ -272,7 +273,7 @@ def cmd_compute(args) -> int:
 def cmd_classical(args) -> int:
     budget = _parse_budget(args.memory_budget)
     coeff = _parse_coeff(args.coeff)
-    g = parse_group_spec(args.group)
+    g = parse_group_spec(args.group, budget)
     n_build = args.max_degree + 1
     bar = _SliceCache(args.cache_dir).get_or_build(
         "bar", g, None, n_build, lambda: bar_complex(g, n_build, memory_budget=budget))
@@ -290,7 +291,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_info(args) -> int:
-    g = parse_group_spec(args.group)
+    g = parse_group_spec(args.group, _parse_budget(args.memory_budget))
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1
     sub = fixed_subgroup(action)
@@ -330,6 +331,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.coeff_a is not None and not _is_prime(args.coeff_a):
+        raise SpecParseError(f"--coeff-a must be a prime, got {args.coeff_a}")
     reports = []
     for name in args.suites:
         suite = REGISTRY.get(name)

@@ -418,28 +418,22 @@ class UctRecord:
 
 
 def uct_crosscheck(slice_: ComplexSlice, primes: Sequence[int] = (2, 3, 5)) -> list[UctRecord]:
-    """Field Betti numbers vs. universal coefficients on the integral profile."""
+    """Field Betti numbers vs. universal coefficients on the integral profile.
+
+    Each mod-p profile eliminates every boundary mod p itself and compares
+    its groups with the universal-coefficient groups of the integral
+    profile; a disagreement raises `InternalCheckError` there.
+    """
     if slice_.modulus:
         raise ValueError("UCT cross-check applies to integral complexes")
-    prof = homology(slice_, COEFF_Z)
+    if not all(_is_prime(p) for p in primes):
+        raise ValueError(f"UCT cross-check needs prime moduli, got {tuple(primes)}")
     records = []
-    ranks: dict[tuple[int, int], int] = {}
-
-    def rk(n: int, p: int) -> int:
-        if n == 0 or n > slice_.max_degree:
-            return 0
-        if (n, p) not in ranks:
-            ranks[(n, p)] = rank_mod_p(slice_.d(n), p)
-        return ranks[(n, p)]
-
     for p in primes:
-        for n in range(prof.top_degree + 1):
-            field_b = slice_.sizes[n] - rk(n, p) - rk(n + 1, p)
-            g_n = prof.group(n)
-            uct_b = g_n.free_rank + sum(1 for t in g_n.torsion if t % p == 0)
-            if n >= 1:
-                uct_b += sum(1 for t in prof.group(n - 1).torsion if t % p == 0)
-            records.append(UctRecord(n, p, field_b, uct_b))
+        field = homology(slice_, p)
+        for n in range(field.top_degree + 1):
+            records.append(UctRecord(n, p, len(field.group(n).torsion),
+                                     len(field.uct_groups[n].torsion)))
     return records
 
 

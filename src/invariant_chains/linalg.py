@@ -21,15 +21,19 @@ bit for bit.  The pivot column comes from a priority queue keyed by
 (nonzero count, column index), so it is the column with the fewest nonzero
 rows, ties to the lowest index; the queue is re-keyed only for the columns
 whose counts the elementary operations since the last pivot could change.
+Each pivot is eliminated where the queue finds it: no row or column is ever
+moved.  The engine keeps the pivot sequence instead, and orders the lines of
+the transforms once at the end, pivot lines first in pivot order, so that
+D's entries sit at (i, i).
 
 Only the working matrix carries a cross index (for each column, the set of
 rows with an entry there): its column operations reach rows through it, and
 the pivot queue reads the column counts off it.  The transforms U, U^-1, V
 and V^-1 receive only whole-line operations and are read line by line, so
-they are plain lists of dicts.  While column t holds only the pivot row, a
-column operation of the pivot-row clear can only delete one entry of that
-row, so the engine deletes it directly and replays the operation on V and
-V^-1 alone.
+they are plain lists of dicts.  While the pivot column holds only the
+pivot row, a column operation of the pivot-row clear can only delete one
+entry of that row, so the engine deletes it directly and replays the
+operation on V and V^-1 alone.
 """
 
 from __future__ import annotations
@@ -315,9 +319,6 @@ class _Lines:
         self.lines[i] = na
         self.lines[j] = nb
 
-    def swap(self, i: int, j: int) -> None:
-        self.lines[i], self.lines[j] = self.lines[j], self.lines[i]
-
     def negate(self, i: int) -> None:
         line = self.lines[i]
         for c in line:
@@ -371,23 +372,6 @@ class _IndexedLines(_Lines):
         for c in self.lines[j]:
             cross[c].add(j)
 
-    def swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        li, lj = self.lines[i], self.lines[j]
-        cross = self.cross
-        for c in li:
-            if c not in lj:
-                rows = cross[c]
-                rows.discard(i)
-                rows.add(j)
-        for c in lj:
-            if c not in li:
-                rows = cross[c]
-                rows.discard(j)
-                rows.add(i)
-        self.lines[i], self.lines[j] = lj, li
-
     # cross operations ----------------------------------------------------
 
     def cross_axpy(self, src: int, dst: int, k: int) -> None:
@@ -430,22 +414,6 @@ class _IndexedLines(_Lines):
                     del line[c]
                     cross[c].discard(r)
 
-    def cross_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        cross = self.cross
-        touched = cross.get(i, set()) | cross.get(j, set())
-        for r in touched:
-            line = self.lines[r]
-            vi = line.pop(i, 0)
-            vj = line.pop(j, 0)
-            if vj:
-                line[i] = vj
-            if vi:
-                line[j] = vi
-        cross[i] = {r for r in touched if i in self.lines[r]}
-        cross[j] = {r for r in touched if j in self.lines[r]}
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form: the one elimination routine
@@ -470,6 +438,11 @@ class _SnfEngine:
     elementary operation.  Over Z the diagonal is positive and a divisibility
     chain; over Z/p, p prime, every nonzero pivot is a unit, so its entries
     are just the nonzero pivots.  In both rings len(diag) is the rank.
+
+    Pivots stay where they are found, and a column that holds one is marked
+    in `_done`.  After the last pivot the lines of U and U^-1 are put in row
+    order and those of V and V^-1 in column order: the pivot lines in pivot
+    order, then the other lines by ascending index.
     """
 
     def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
@@ -490,6 +463,7 @@ class _SnfEngine:
         self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
         self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
+        self._done = [False] * m.cols
         # pivot queue: a heap of keys count * cols + c, each checked against
         # the live count when it reaches the top; `_keyed[c]` is the count
         # column c was last queued with.  Column ops re-key their columns at
@@ -500,7 +474,7 @@ class _SnfEngine:
         # (Collecting the columns themselves into a set that was filled and
         # freed on every pivot raised the peak RSS by several MB.)
         self._rows_touched: set[int] = set()
-        self._rebuild_queue(0)
+        self._rebuild_queue()
         self._run()
 
     # elementary ops with transform and pivot-queue bookkeeping ----------
@@ -524,17 +498,6 @@ class _SnfEngine:
         if self.u_inv is not None:
             # E^-1 = [[w, -y], [-z, x]] for det(E) = 1
             self.u_inv.combine(i, j, w, -z, -y, x)
-
-    def _row_swap(self, i, j):
-        # a recorded row's entries move with it
-        touched = self._rows_touched
-        if i in touched or j in touched:
-            touched.update((i, j))
-        self.ws.swap(i, j)
-        if self.u is not None:
-            self.u.swap(i, j)
-        if self.u_inv is not None:
-            self.u_inv.swap(i, j)
 
     def _row_negate(self, i):
         self.ws.negate(i)
@@ -564,15 +527,6 @@ class _SnfEngine:
         if self.v_inv is not None:
             self.v_inv.combine(i, j, w, -z, -y, x)
 
-    def _col_swap(self, i, j):
-        self.ws.cross_swap(i, j)
-        self._rekey(i)
-        self._rekey(j)
-        if self.v is not None:
-            self.v.swap(i, j)
-        if self.v_inv is not None:
-            self.v_inv.swap(i, j)
-
     # pivot selection: structural fill estimate, then magnitude, then index
 
     def _rekey(self, c: int) -> None:
@@ -583,37 +537,39 @@ class _SnfEngine:
             if n:
                 heapq.heappush(self._queue, n * self.m.cols + c)
 
-    def _rebuild_queue(self, t: int) -> None:
-        """One key per column c >= t with a nonzero count, nothing recorded."""
+    def _rebuild_queue(self) -> None:
+        """One key per column without a pivot and with a nonzero count, nothing recorded."""
         ncols = self.m.cols
+        done = self._done
         self._keyed = [0] * ncols
         self._queue = []
         for c, rows in self.ws.cross.items():
-            if c >= t and rows:
+            if rows and not done[c]:
                 self._keyed[c] = len(rows)
                 self._queue.append(len(rows) * ncols + c)
         heapq.heapify(self._queue)
         self._rows_touched.clear()
 
-    def _choose_pivot(self, t: int) -> tuple[int, int] | None:
+    def _choose_pivot(self) -> tuple[int, int] | None:
         ws = self.ws
         cross = ws.cross
         ncols = self.m.cols
+        done = self._done
         if len(self._queue) > 2 * ncols:
-            self._rebuild_queue(t)
+            self._rebuild_queue()
         else:
             keyed = self._keyed
             for r in self._rows_touched:
                 for c in ws.lines[r]:
                     n = len(cross[c])
-                    if c >= t and n != keyed[c]:
+                    if n != keyed[c] and not done[c]:
                         keyed[c] = n
                         heapq.heappush(self._queue, n * ncols + c)
             self._rows_touched.clear()
         queue = self._queue
         while queue:
             n, best_c = divmod(queue[0], ncols)
-            if best_c >= t and len(cross.get(best_c, ())) == n:
+            if not done[best_c] and len(cross.get(best_c, ())) == n:
                 break
             heapq.heappop(queue)
         else:
@@ -628,29 +584,39 @@ class _SnfEngine:
 
     def _run(self):
         ws = self.ws
-        for t in range(min(self.m.rows, self.m.cols)):
-            picked = self._choose_pivot(t)
-            if picked is None:
-                break
+        pivots = []
+        while (picked := self._choose_pivot()) is not None:
             r0, c0 = picked
-            self._row_swap(r0, t)
-            self._col_swap(c0, t)
+            self._done[c0] = True
             while True:
-                self._clear_position(t)
+                self._clear_position(r0, c0)
                 if self.mod:
                     break
-                piv = ws.lines[t][t]
+                piv = ws.lines[r0][c0]
                 if piv < 0:
-                    self._row_negate(t)
+                    self._row_negate(r0)
                     piv = -piv
                 if piv == 1:
                     break
-                offender = self._find_nondivisible(t, piv)
+                offender = self._find_nondivisible(piv)
                 if offender is None:
                     break
                 # fold the offending row into the pivot row and re-clear
-                self._row_axpy(offender, t, 1)
-            self.diag.append(ws.lines[t][t])
+                self._row_axpy(offender, r0, 1)
+            # the finished lines hold only the pivot; fresh containers free
+            # the tables they grew to while they were cleared
+            piv = ws.lines[r0][c0]
+            ws.lines[r0] = {c0: piv}
+            ws.cross[c0] = {r0}
+            self.diag.append(piv)
+            pivots.append(picked)
+        # move D's entry k from (r_k, c_k) to (k, k)
+        rows = _pivots_first([r for r, _ in pivots], self.m.rows)
+        cols = _pivots_first([c for _, c in pivots], self.m.cols)
+        for lines, order in ((self.u, rows), (self.u_inv, rows),
+                             (self.v, cols), (self.v_inv, cols)):
+            if lines is not None:
+                lines.lines = [lines.lines[i] for i in order]
 
     def _quotient(self, b: int, a: int) -> int | None:
         """q with b = q*a in the ring, or None when a does not divide b."""
@@ -661,53 +627,60 @@ class _SnfEngine:
             return b * self._inverted[1] % self.mod
         return b // a if b % a == 0 else None
 
-    def _clear_position(self, t: int):
-        """Make row t and column t zero except at (t, t), which stays nonzero."""
+    def _clear_position(self, r0: int, c0: int):
+        """Make row r0 and column c0 zero except at (r0, c0), which stays nonzero."""
         ws = self.ws
         while True:
-            # clear column t with row ops; each op only removes rows from it
-            for r in sorted(ws.cross[t]):
-                if r == t:
+            # clear column c0 with row ops; each op only removes rows from it
+            for r in sorted(ws.cross[c0]):
+                if r == r0:
                     continue
-                a = ws.lines[t][t]
-                b = ws.lines[r][t]
+                a = ws.lines[r0][c0]
+                b = ws.lines[r][c0]
                 q = self._quotient(b, a)
                 if q is not None:
-                    self._row_axpy(t, r, -q)
+                    self._row_axpy(r0, r, -q)
                 else:
                     g, x, y = xgcd(a, b)
-                    self._row_combine(t, r, x, y, -(b // g), a // g)
-            # clear row t with col ops; a gcd step may refill column t
-            row_t = ws.lines[t]
-            for c in sorted(c for c in row_t if c != t):
-                a = row_t[t]
-                b = row_t[c]
+                    self._row_combine(r0, r, x, y, -(b // g), a // g)
+            # clear row r0 with col ops; a gcd step may refill column c0
+            row = ws.lines[r0]
+            for c in sorted(c for c in row if c != c0):
+                a = row[c0]
+                b = row[c]
                 q = self._quotient(b, a)
-                if q is not None and len(ws.cross[t]) == 1:
-                    # column t holds only row t, so col c -= q * col t can
-                    # only zero the entry (t, c)
-                    del row_t[c]
-                    ws.cross[c].discard(t)
+                if q is not None and len(ws.cross[c0]) == 1:
+                    # column c0 holds only row r0, so col c -= q * col c0
+                    # can only zero the entry (r0, c)
+                    del row[c]
+                    ws.cross[c].discard(r0)
                     self._rekey(c)
-                    self._transform_col_axpy(t, c, -q)
+                    self._transform_col_axpy(c0, c, -q)
                 elif q is not None:
-                    self._col_axpy(t, c, -q)
+                    self._col_axpy(c0, c, -q)
                 else:
                     g, x, y = xgcd(a, b)
-                    self._col_combine(t, c, x, y, -(b // g), a // g)
-            if ws.cross[t] == {t}:
+                    self._col_combine(c0, c, x, y, -(b // g), a // g)
+            if ws.cross[c0] == {r0}:
                 return
 
-    def _find_nondivisible(self, t: int, piv: int) -> int | None:
-        """Row index of some active entry not divisible by piv, or None."""
+    def _find_nondivisible(self, piv: int) -> int | None:
+        """Row index of some entry outside the pivot lines not divisible by piv, or None."""
         ws = self.ws
-        for c in range(t + 1, self.m.cols):
+        done = self._done
+        for c in range(self.m.cols):
+            if done[c]:
+                continue
             for r in sorted(ws.cross.get(c, ())):
-                if r <= t:
-                    continue
                 if ws.lines[r][c] % piv:
                     return r
         return None
+
+
+def _pivots_first(pivot_lines: list[int], n: int) -> list[int]:
+    """The line order 0..n-1 with the pivot lines first, in pivot order."""
+    taken = set(pivot_lines)
+    return pivot_lines + [i for i in range(n) if i not in taken]
 
 
 def smith_normal_form(m: SparseIntMatrix) -> SnfResult:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from invariant_chains import cli
@@ -139,15 +140,26 @@ def test_bad_specs_exit_2(capsys):
                  ["verify", "n_odd", "--n", "4"],
                  ["verify", "n_2k", "--k", "2"],
                  ["verify", "n_0_mod_4", "--s", "1"],
-                 ["verify", "integer_line", "--bound", "3"]):
+                 ["verify", "integer_line", "--bound", "3"],
+                 *(["verify", "structure", "--group", "cyclic:4", "--coeff-a", a,
+                    "--max-degree", "2"] for a in ("4", "0", "1", "-3"))):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_budget_exceeded_exits_3(capsys):
-    assert cli.main(["compute", "--group", "cyclic:6", "--max-degree", "4",
-                     "--memory-budget", "1K"]) == 3
+    # the multiplication tables of the two huge groups alone would need
+    # petabytes, so their budget check must come before the table is built
+    for argv in (["compute", "--group", "cyclic:6", "--max-degree", "4",
+                  "--memory-budget", "1K"],
+                 ["compute", "--group", "cyclic:100000000", "--max-degree", "1"],
+                 ["verify", "n_0_mod_4", "--s", "40"]):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3, argv
+        assert time.perf_counter() - start < 5, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
 def test_maps_rejects_field_coefficients_before_building(capsys):

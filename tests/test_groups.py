@@ -1,10 +1,12 @@
 """Finite groups, actions, subgroups, coset transversals, spec grammars."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from invariant_chains.errors import GroupConstructionError, SpecParseError
+from invariant_chains import groups
+from invariant_chains.errors import BudgetExceededError, GroupConstructionError, SpecParseError
 from invariant_chains.groups import (Subgroup, action_from_permutations,
                                      coset_representatives, fixed_subgroup, full_subgroup,
                                      generated_subgroup, inversion_action, is_q_stable,
@@ -32,6 +34,31 @@ def test_make_product_examples():
     assert make_product(make_cyclic(1), make_cyclic(5)).order == 5
     klein = make_product(make_cyclic(2), make_cyclic(2))
     assert all(klein.element_order(x) == 2 for x in range(1, 4))
+
+
+def test_table_budget_is_checked_before_the_table_is_built():
+    need = 30 * 30 * groups._TABLE_BYTES_PER_ENTRY
+    assert make_cyclic(30, memory_budget=need).order == 30
+    with pytest.raises(BudgetExceededError):
+        make_cyclic(30, memory_budget=need - 1)
+    with pytest.raises(BudgetExceededError):
+        make_product(make_cyclic(5), make_cyclic(6), memory_budget=need - 1)
+    with pytest.raises(BudgetExceededError):
+        parse_group_spec("product:cyclic:2,cyclic:15", memory_budget=need - 1)
+
+
+def test_table_estimate_covers_the_measured_peak():
+    # at this order the entries are distinct int objects, as in large tables
+    n = 700
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        make_cyclic(n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    estimate = n * n * groups._TABLE_BYTES_PER_ENTRY
+    assert estimate / 2 <= peak <= estimate
 
 
 def test_make_action_valid_and_invalid():

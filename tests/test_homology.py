@@ -250,6 +250,33 @@ def test_boundary_that_is_not_a_cycle_is_caught():
             prof.generators(1)
 
 
+def test_uct_crosscheck_reads_the_field_profiles(monkeypatch):
+    homology_module = importlib.import_module("invariant_chains.homology")
+    real = homology_module.rank_mod_p
+    calls = []
+
+    def counting(m, p):
+        calls.append((p, id(m)))
+        return real(m, p)
+
+    monkeypatch.setattr(homology_module, "rank_mod_p", counting)
+    clear_caches()
+    inv = invariant_complex(negation_action(4), 4)
+    records = uct_crosscheck(inv, primes=(2, 3))
+    assert all(rec.ok for rec in records) and len(records) == 2 * 4
+    # one elimination per boundary and prime, and none when asked again
+    assert calls == [(p, id(d)) for p in (2, 3) for d in inv.boundaries]
+    assert uct_crosscheck(inv, primes=(2, 3)) == records and len(calls) == 2 * 4
+    with pytest.raises(ValueError):
+        uct_crosscheck(inv, primes=(2, 4))
+
+    # a wrong field rank fails inside the profile, against universal coefficients
+    monkeypatch.setattr(homology_module, "rank_mod_p", lambda m, p: real(m, p) + 1)
+    clear_caches()
+    with pytest.raises(InternalCheckError):
+        uct_crosscheck(invariant_complex(negation_action(4), 4), primes=(2,))
+
+
 def test_profiles_eliminate_each_boundary_once(monkeypatch):
     # the package binds the name `homology` to the function, so look the module up
     homology_module = importlib.import_module("invariant_chains.homology")

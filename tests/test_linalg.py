@@ -72,43 +72,58 @@ def test_snf_examples():
 
 def test_snf_transforms_reproduce_diagonal():
     rng = random.Random(0)
-    for _ in range(60):
-        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        m = random_matrix(rng, rows, cols)
+    small = [random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(60)]
+    # pivots are eliminated where they lie and the transforms ordered at the
+    # end, so also take pivots away from the diagonal: zero leading rows and
+    # columns, tall and wide shapes, a zero matrix and real boundaries
+    placed = [SparseIntMatrix.zero(3, 5)]
+    for rows, cols, zero_rows, zero_cols in ((6, 6, 2, 3), (7, 5, 0, 2), (5, 7, 3, 0),
+                                             (12, 3, 4, 0), (3, 12, 0, 5), (10, 4, 0, 0),
+                                             (4, 10, 0, 0)):
+        block = random_matrix(rng, rows - zero_rows, cols - zero_cols, density=0.5)
+        placed.append(SparseIntMatrix(rows, cols, {
+            (r + zero_rows, c + zero_cols): v for (r, c), v in block.entries.items()}))
+    for m in small + placed + z4_boundaries():
+        rows, cols = m.rows, m.cols
         res = smith_normal_form(m)
         assert res.u.mul(m).mul(res.v) == res.diagonal_matrix(rows, cols)
         for a, b in zip(res.s, res.s[1:]):
             assert b % a == 0 and a > 0
-        # unimodularity, checked with an unrelated determinant implementation
-        assert abs(sympy.Matrix(res.u.to_dense()).det()) == 1
-        assert abs(sympy.Matrix(res.v.to_dense()).det()) == 1
+        if rows <= 8 and cols <= 8:
+            # unimodularity, checked with an unrelated determinant implementation
+            assert abs(sympy.Matrix(res.u.to_dense()).det()) == 1
+            assert abs(sympy.Matrix(res.v.to_dense()).det()) == 1
         # the engine's inverse transforms
-        eng = _SnfEngine(m, want_u=True, want_v=True, want_u_inv=True, want_v_inv=True)
+        eng = full_engine(_SnfEngine, m, 0)
         u, u_inv, v, v_inv = transforms(eng, rows, cols)
         assert u.mul(u_inv) == SparseIntMatrix.identity(rows)
         assert v.mul(v_inv) == SparseIntMatrix.identity(cols)
+        kernel = ColumnEchelon(m).kernel_matrix()
+        assert kernel.cols == cols - len(res.s) and m.mul(kernel).is_zero()
         # the same engine over Z/p: U*M*V = D mod p, rank = number of pivots
         for p in (2, 3, 5):
-            eng = _SnfEngine(m, p, want_u=True, want_v=True, want_u_inv=True,
-                             want_v_inv=True)
+            eng = full_engine(_SnfEngine, m, p)
             u, u_inv, v, v_inv = transforms(eng, rows, cols)
+            rank = len(eng.diag)
             assert u.mul(m).mul(v).to_mod(p) == SparseIntMatrix.diagonal(eng.diag, rows, cols)
             assert all(0 < d < p for d in eng.diag)
             assert u.mul(u_inv).to_mod(p) == SparseIntMatrix.identity(rows)
             assert v.mul(v_inv).to_mod(p) == SparseIntMatrix.identity(cols)
-            assert len(eng.diag) == sympy.Matrix(m.to_dense()).rank(
-                iszerofunc=lambda x: x % p == 0)
+            kernel = SparseIntMatrix.from_columns(cols, eng.v.lines[rank:])
+            assert kernel.cols == cols - rank and m.mul(kernel).to_mod(p).is_zero()
+            if m in small:
+                assert rank == sympy.Matrix(m.to_dense()).rank(iszerofunc=lambda x: x % p == 0)
 
 
 class _ScanPivotEngine(_SnfEngine):
     """Reference: the engine with the linear column scan that its pivot queue replaced."""
 
-    def _choose_pivot(self, t: int) -> tuple[int, int] | None:
+    def _choose_pivot(self) -> tuple[int, int] | None:
         ws = self.ws
         best_c = None
         best_cn = None
         for c, rows in ws.cross.items():
-            if c < t or not rows:
+            if self._done[c] or not rows:
                 continue
             n = len(rows)
             if best_cn is None or n < best_cn or (n == best_cn and c < best_c):
@@ -146,38 +161,38 @@ class _AxpyRowClearEngine(_SnfEngine):
     """Reference: the engine whose pivot-row clear always goes through `_col_axpy`.
 
     `refilled` counts the column ops made while a gcd step had refilled
-    column t, where the engine itself must fall back to `_col_axpy`.
+    the pivot column, where the engine itself must fall back to `_col_axpy`.
     """
 
     refilled = 0
 
-    def _clear_position(self, t: int):
+    def _clear_position(self, r0: int, c0: int):
         ws = self.ws
         while True:
-            for r in sorted(ws.cross[t]):
-                if r == t:
+            for r in sorted(ws.cross[c0]):
+                if r == r0:
                     continue
-                a = ws.lines[t][t]
-                b = ws.lines[r][t]
+                a = ws.lines[r0][c0]
+                b = ws.lines[r][c0]
                 q = self._quotient(b, a)
                 if q is not None:
-                    self._row_axpy(t, r, -q)
+                    self._row_axpy(r0, r, -q)
                 else:
                     g, x, y = xgcd(a, b)
-                    self._row_combine(t, r, x, y, -(b // g), a // g)
-            row_t = ws.lines[t]
-            for c in sorted(c for c in row_t if c != t):
-                a = row_t[t]
-                b = row_t[c]
+                    self._row_combine(r0, r, x, y, -(b // g), a // g)
+            row = ws.lines[r0]
+            for c in sorted(c for c in row if c != c0):
+                a = row[c0]
+                b = row[c]
                 q = self._quotient(b, a)
                 if q is not None:
-                    if len(ws.cross[t]) > 1:
+                    if len(ws.cross[c0]) > 1:
                         self.refilled += 1
-                    self._col_axpy(t, c, -q)
+                    self._col_axpy(c0, c, -q)
                 else:
                     g, x, y = xgcd(a, b)
-                    self._col_combine(t, c, x, y, -(b // g), a // g)
-            if ws.cross[t] == {t}:
+                    self._col_combine(c0, c, x, y, -(b // g), a // g)
+            if ws.cross[c0] == {r0}:
                 return
 
 
