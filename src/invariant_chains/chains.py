@@ -8,16 +8,24 @@ inclusion and transfer maps.  Tuples are indexed in mixed radix with the
 leftmost entry most significant, so every basis is lexicographically
 ordered and every matrix is reproducible.
 
+Boundaries, orbits and chain maps are assembled from index tables, built
+per call and degree and then dropped: face tables give each tuple index's
+k-th face, action tables its image under each q.  `bar_boundary` and
+`_expand_orbit_boundary` work on tuples; they are the reference kept for the
+cross-checks.
+
 One module-level memo holds what a process has computed: the five complex
 builders' results keyed by (builder, group or action, degree), orbit data,
-and the homology profiles of `homology.homology`, keyed by the slice
-object.  The memory budget is checked on every builder call, memo hit or
-not, and is not part of the key.  `clear_caches()` empties the memo.
+the homology profiles of `homology.homology`, keyed by the slice object, and
+each boundary's elimination per ring, held with the matrix itself.  The
+memory budget is checked on every builder call, memo hit or not, and is not
+part of the key.  `clear_caches()` empties the memo.
 """
 
 from __future__ import annotations
 
 import functools
+from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -63,6 +71,59 @@ def bar_boundary(g: FiniteGroup, t: BarTuple) -> dict[BarTuple, int]:
         face = t[:k - 1] + (g.mul(t[k - 1], t[k]),) + t[k + 1:]
         add(face, -1 if k % 2 else 1)
     add(t[:-1], -1 if n % 2 else 1)
+    return acc
+
+
+def _face_tables(g: FiniteGroup, n: int) -> list[array]:
+    """faces[k][i]: the k-th face of degree-n tuple i, k = 0..n, by mixed radix.
+
+    Face 0 is i % |G|^(n-1), face n is i // |G|; face k in between merges
+    entries a, b at k-1, k into mul_table[a][b], in that order.  Tables are
+    int arrays: a list would leave its int objects' memory behind when freed.
+    """
+    order = g.order
+    below = order ** (n - 1)
+    faces = [array("q", range(below)) * order]
+    for k in range(1, n):
+        w = order ** (n - k - 1)  # the weight of entry k
+        faces.append(array("q", [(h + m) * w + lo for h in range(0, order ** k, order)
+                                 for row in g.mul_table for m in row for lo in range(w)]))
+    faces.append(array("q", [j for j in range(below) for _ in range(order)]))
+    return faces
+
+
+def _tuple_maps(maps: Sequence[Sequence[int]], order: int, n: int) -> list[Sequence[int]]:
+    """tables[j][i]: maps[j], into a group of this order, applied to each entry of tuple i."""
+    tables: list[Sequence[int]] = [[0] for _ in maps]
+    for _ in range(n):
+        tables = [array("q", [t * order + x for t in prev for x in p])
+                  for prev, p in zip(tables, maps)]
+    return tables
+
+
+def _accumulate(acc: dict[int, int], items) -> dict[int, int]:
+    """Add (key, coefficient) pairs into acc, dropping keys that cancel."""
+    for key, coeff in items:
+        v = acc.get(key, 0) + coeff
+        if v:
+            acc[key] = v
+        else:
+            del acc[key]
+    return acc
+
+
+def _face_sum(faces: list[array], i: int) -> dict[int, int]:
+    """The boundary of tuple i read off its face tables, in bar_boundary's order."""
+    acc: dict[int, int] = {}
+    sign = 1
+    for f in faces:
+        r = f[i]
+        v = acc.get(r, 0) + sign
+        if v:
+            acc[r] = v
+        else:
+            del acc[r]
+        sign = -sign
     return acc
 
 
@@ -274,12 +335,11 @@ def tuple_orbits(action: GroupAction, n: int) -> OrbitData:
     orbit_of = [-1] * total
     reps: list[int] = []
     sizes: list[int] = []
-    perms = action.perm
+    moves = _tuple_maps(action.perm, order, n)
     for idx in range(total):
         if orbit_of[idx] >= 0:
             continue
-        t = decode_tuple(order, n, idx)
-        members = {encode_tuple(order, tuple(p[x] for x in t)) for p in perms}
+        members = {m[idx] for m in moves}
         pos = len(reps)
         for mem in members:
             orbit_of[mem] = pos
@@ -321,10 +381,10 @@ def bar_complex(g: FiniteGroup, max_degree: int,
     basis = [BasisInfo("tuples", n, sizes[n], order) for n in range(max_degree + 1)]
     for n in range(1, max_degree + 1):
         entries = {}
+        faces = _face_tables(g, n)
         for col in range(sizes[n]):
-            t = decode_tuple(order, n, col)
-            for face, coeff in bar_boundary(g, t).items():
-                entries[(encode_tuple(order, face), col)] = coeff
+            for r, coeff in _face_sum(faces, col).items():
+                entries[(r, col)] = coeff
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
     return _finish_slice(f"bar({g.name})", "bar", max_degree, sizes, boundaries, basis)
 
@@ -370,9 +430,13 @@ def invariant_complex(action: GroupAction, max_degree: int,
              for n in range(max_degree + 1)]
     boundaries = []
     for n in range(1, max_degree + 1):
+        faces = _face_tables(action.g, n)
+        moves = _tuple_maps(action.perm, action.g.order, n)
         entries = {}
         for col, rep in enumerate(data[n].reps):
-            acc = _expand_orbit_boundary(action, n, rep)
+            acc: dict[int, int] = {}
+            for mem in sorted({m[rep] for m in moves}):
+                _accumulate(acc, _face_sum(faces, mem).items())
             for pos, coeff in _orbit_coords(acc, data[n - 1], "invariant complex").items():
                 entries[(pos, col)] = coeff
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
@@ -384,27 +448,19 @@ def invariant_complex(action: GroupAction, max_degree: int,
 def coinvariant_complex(action: GroupAction, max_degree: int,
                         memory_budget: int | None = None) -> ComplexSlice:
     """Chains of the orbit space: basis = orbits, boundary via representatives."""
-    g = action.g
-    order = g.order
     data = [tuple_orbits(action, n) for n in range(max_degree + 1)]
     sizes = [d.count for d in data]
-    basis = [BasisInfo("orbits", n, sizes[n], order, data[n].reps, data[n].stab_orders)
+    basis = [BasisInfo("orbits", n, sizes[n], action.g.order, data[n].reps,
+                       data[n].stab_orders)
              for n in range(max_degree + 1)]
     boundaries = []
     for n in range(1, max_degree + 1):
+        faces = _face_tables(action.g, n)
         entries = {}
-        lower = data[n - 1]
+        orbit_of = data[n - 1].orbit_of
         for col, rep in enumerate(data[n].reps):
-            t = decode_tuple(order, n, rep)
-            acc: dict[int, int] = {}
-            for face, coeff in bar_boundary(g, t).items():
-                pos = lower.orbit_of[encode_tuple(order, face)]
-                v = acc.get(pos, 0) + coeff
-                if v:
-                    acc[pos] = v
-                else:
-                    acc.pop(pos, None)
-            for pos, coeff in acc.items():
+            face_sum = _face_sum(faces, rep).items()
+            for pos, coeff in _accumulate({}, ((orbit_of[r], c) for r, c in face_sum)).items():
                 entries[(pos, col)] = coeff
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
     return _finish_slice(f"coinvariant({action.q.name} on {action.g.name})", "coinvariant",
@@ -517,16 +573,11 @@ def fixed_inclusion_chain_map(action: GroupAction, max_degree: int,
     sub = fixed_subgroup(action)
     src = bar_complex(sub.as_group(), max_degree, memory_budget)
     dst = invariant_complex(action, max_degree, memory_budget)
-    order = action.g.order
-    sub_order = sub.order
     mats = []
     for n in range(max_degree + 1):
         data = tuple_orbits(action, n)
         entries = {}
-        for col in range(sub_order ** n):
-            t = decode_tuple(sub_order, n, col)
-            embedded = tuple(sub.embedding(x) for x in t)
-            idx = encode_tuple(order, embedded)
+        for col, idx in enumerate(_tuple_maps([sub.members], action.g.order, n)[0]):
             pos = data.orbit_of[idx]
             assert data.sizes[pos] == 1, "fixed tuple must be a singleton orbit"
             entries[(pos, col)] = 1
@@ -541,10 +592,10 @@ def invariant_inclusion_chain_map(action: GroupAction, max_degree: int,
     dst = bar_complex(action.g, max_degree, memory_budget)
     mats = []
     for n in range(max_degree + 1):
-        data = tuple_orbits(action, n)
+        moves = _tuple_maps(action.perm, action.g.order, n)
         entries = {}
-        for col, rep in enumerate(data.reps):
-            for mem in orbit_members(action, n, rep):
+        for col, rep in enumerate(tuple_orbits(action, n).reps):
+            for mem in sorted({m[rep] for m in moves}):
                 entries[(mem, col)] = 1
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
     return make_chain_map("invariant-inclusion", src, dst, mats)
@@ -556,17 +607,14 @@ def subgroup_invariant_inclusion(action: GroupAction, k: Subgroup, max_degree: i
     sub_action = restrict_action(action, k)
     src = invariant_complex(sub_action, max_degree, memory_budget)
     dst = invariant_complex(action, max_degree, memory_budget)
-    order = action.g.order
-    k_order = k.order
     mats = []
     for n in range(max_degree + 1):
         sub_data = tuple_orbits(sub_action, n)
         data = tuple_orbits(action, n)
+        embedded = _tuple_maps([k.members], action.g.order, n)[0]
         entries = {}
         for col, rep in enumerate(sub_data.reps):
-            t = decode_tuple(k_order, n, rep)
-            embedded = tuple(k.embedding(x) for x in t)
-            pos = data.orbit_of[encode_tuple(order, embedded)]
+            pos = data.orbit_of[embedded[rep]]
             assert data.sizes[pos] == sub_data.sizes[col], \
                 "embedded orbit must match the subgroup orbit"
             entries[(pos, col)] = 1
@@ -579,14 +627,10 @@ def subgroup_bar_inclusion(g: FiniteGroup, k: Subgroup, max_degree: int,
     """bar(K) -> bar(G), entrywise embedding (classical, non-equivariant)."""
     src = bar_complex(k.as_group(), max_degree, memory_budget)
     dst = bar_complex(g, max_degree, memory_budget)
-    order = g.order
     mats = []
     for n in range(max_degree + 1):
-        entries = {}
-        for col in range(k.order ** n):
-            t = decode_tuple(k.order, n, col)
-            embedded = tuple(k.embedding(x) for x in t)
-            entries[(encode_tuple(order, embedded), col)] = 1
+        embedded = _tuple_maps([k.members], g.order, n)[0]
+        entries = {(idx, col): 1 for col, idx in enumerate(embedded)}
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
     return make_chain_map("bar-inclusion", src, dst, mats)
 
@@ -680,20 +724,15 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
     dst = invariant_complex(sub_action, max_degree, memory_budget)
     mats = []
     for n in range(max_degree + 1):
-        data = tuple_orbits(action, n)
+        moves = _tuple_maps(action.perm, g.order, n)
         sub_data = tuple_orbits(sub_action, n)
         entries = {}
-        for col, rep in enumerate(data.reps):
+        for col, rep in enumerate(tuple_orbits(action, n).reps):
             acc: dict[int, int] = {}
-            for mem in orbit_members(action, n, rep):
+            for mem in sorted({m[rep] for m in moves}):
                 t = decode_tuple(g.order, n, mem)
-                for kt, coeff in transfer_tuple(g, k, e, rep_of, t).items():
-                    key = encode_tuple(k_order, kt)
-                    v = acc.get(key, 0) + coeff
-                    if v:
-                        acc[key] = v
-                    else:
-                        acc.pop(key, None)
+                _accumulate(acc, ((encode_tuple(k_order, kt), coeff) for kt, coeff
+                                  in transfer_tuple(g, k, e, rep_of, t).items()))
             try:
                 coords = _orbit_coords(acc, sub_data, "transfer")
             except InternalCheckError as exc:

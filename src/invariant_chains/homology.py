@@ -8,10 +8,11 @@ of the boundaries mod p; for composite m the universal-coefficient formula
 on the integral profile is used.  For prime coefficients both routes run
 and must agree.
 
-Each boundary d_1..d_max is eliminated once per profile: its invariant
-factors over Z, or its rank over Z/p.  `homology()` keeps each profile in
-the memo of `chains`, keyed by the slice object and the coefficients, until
-`chains.clear_caches()`.
+Each boundary matrix is eliminated once per ring: its invariant factors
+over Z, or its rank over Z/p.  The memo of `chains` keeps that result with
+the matrix, so slices that share a boundary object (the reduced copies of
+`invariant_ses`) share its elimination, and it keeps each profile, keyed by
+the slice object and the coefficients, until `chains.clear_caches()`.
 
 Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
 in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
@@ -26,7 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chains import ChainMap, ComplexSlice, InvariantSES, _is_prime, _memo, clear_caches
+from .chains import ChainMap, ComplexSlice, InvariantSES, _is_prime, _memo, \
+    _tuple_maps, clear_caches
 from .errors import InternalCheckError
 from .groups import GroupAction
 from .linalg import (AbelianHom, FgAbelianGroup, FgSubgroup, SparseIntMatrix, _SnfEngine,
@@ -77,13 +79,11 @@ class HomologyProfile:
         if self.mode in ("uct", "field") and not slice_.modulus:
             self._integral = homology(slice_, COEFF_Z)
 
-        # per boundary, d_0 = 0 first, then d_1..d_max eliminated once each:
-        # the invariant factors over Z, the rank over Z/p
-        bnds = slice_.boundaries
-        if self.mode == "int":
-            self._boundary_data = ((),) + tuple(invariant_factors(d) for d in bnds)
-        elif self.mode == "field":
-            self._boundary_data = (0,) + tuple(rank_mod_p(d, self.coeff) for d in bnds)
+        # per boundary, d_0 = 0 first, then d_1..d_max: the invariant
+        # factors over Z, the rank over Z/p
+        if self.mode in ("int", "field"):
+            self._boundary_data = (() if self.mode == "int" else 0,) + tuple(
+                _eliminated(d, self.coeff) for d in slice_.boundaries)
         self._groups = {n: self._compute_group(n) for n in range(self.top_degree + 1)}
         if self.mode == "field" and self._integral is not None:
             for n in range(self.top_degree + 1):
@@ -192,6 +192,14 @@ class HomologyProfile:
         return f"HomologyProfile({self.slice.name}; {self.coeff_str}; {parts})"
 
 
+def _eliminated(d: SparseIntMatrix, mod: int):
+    """Invariant factors (mod 0) or rank over Z/mod of d, once per matrix object."""
+    key = ("eliminated", id(d), mod)
+    if key not in _memo:  # the entry holds d, so its id is not reused while it lives
+        _memo[key] = (d, rank_mod_p(d, mod) if mod else invariant_factors(d))
+    return _memo[key][1]
+
+
 def homology(slice_: ComplexSlice, coefficients: int = COEFF_Z) -> HomologyProfile:
     """Homology of a slice over Z (coefficients=0) or Z/m, kept in the chains memo."""
     key = ("homology", slice_, coefficients)
@@ -231,19 +239,12 @@ def action_on_homology(action: GroupAction, profile: HomologyProfile,
         raise ValueError("the Q-action on homology is computed on the full bar complex")
     if slice_.sizes[1] != action.g.order:
         raise ValueError("profile does not belong to the acted-on group")
-    from .chains import decode_tuple, encode_tuple  # local import to avoid cycle
-
-    order = action.g.order
+    size = action.g.order ** n
     group = profile.group(n)
     gens = profile.generators(n)
     homs = []
-    for qi in range(action.q.order):
-        p = action.perm[qi]
-        entries = {}
-        for t in range(order ** n):
-            tup = decode_tuple(order, n, t)
-            entries[(encode_tuple(order, tuple(p[x] for x in tup)), t)] = 1
-        mat = SparseIntMatrix(order ** n, order ** n, entries)
+    for move in _tuple_maps(action.perm, action.g.order, n):
+        mat = SparseIntMatrix(size, size, {(r, t): 1 for t, r in enumerate(move)})
         cols = [profile.reduce(n, mat.mul_vec(g)) for g in gens]
         homs.append(AbelianHom.from_columns(group, group, cols))
     return homs

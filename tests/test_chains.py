@@ -8,7 +8,9 @@ import random
 import pytest
 
 import invariant_chains
-from invariant_chains.chains import (bar_boundary, bar_complex, burnside_orbit_count,
+from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boundary, _memo,
+                                     _orbit_coords, bar_boundary, bar_complex,
+                                     burnside_orbit_count,
                                      clear_caches, coinvariant_complex, decode_tuple,
                                      encode_tuple, estimate_build_bytes,
                                      fixed_inclusion_chain_map, invariant_complex,
@@ -19,8 +21,10 @@ from invariant_chains.chains import (bar_boundary, bar_complex, burnside_orbit_c
                                      slice_to_json, subgroup_bar_inclusion,
                                      subgroup_invariant_inclusion, tuple_orbits)
 from invariant_chains.errors import BudgetExceededError, GroupConstructionError
-from invariant_chains.groups import (generated_subgroup, make_cyclic, make_product,
-                                     negation_action, trivial_action)
+from invariant_chains.groups import (_validate_group, action_from_permutations,
+                                     generated_subgroup, make_cyclic, make_product,
+                                     negation_action, parse_action_spec, parse_group_spec,
+                                     trivial_action)
 from invariant_chains.homology import homology
 from invariant_chains.linalg import smith_normal_form
 
@@ -266,6 +270,95 @@ def test_no_function_keeps_a_cache_of_its_own():
         for name, obj in vars(module).items():
             for member in (vars(obj).values() if isinstance(obj, type) else (obj,)):
                 assert not hasattr(member, "cache_info"), f"{info.name}.{name}"
+
+
+def test_memo_holds_no_index_tables():
+    # face and action tables live for one builder call; the memo keeps results
+    act = negation_action(6)
+    clear_caches()
+    invariant_complex(act, 4)
+    keys = {(invariant_complex.__wrapped__, act, 4)} | {("orbits", act, n) for n in range(5)}
+    assert set(_memo) == keys
+    assert all(isinstance(v, (ComplexSlice, OrbitData)) for v in _memo.values())
+
+
+def dihedral6():
+    """S_3 as rotations r and flips f, element f*3 + r; not abelian."""
+    mul = [[0] * 6 for _ in range(6)]
+    for r1 in range(3):
+        for f1 in range(2):
+            for r2 in range(3):
+                for f2 in range(2):
+                    r = (r1 + (r2 if f1 == 0 else -r2)) % 3
+                    mul[f1 * 3 + r1][f2 * 3 + r2] = ((f1 + f2) % 2) * 3 + r
+    return _validate_group(6, mul, "dihedral6")
+
+
+def conjugation_action(g):
+    return action_from_permutations(g, [[g.mul(g.mul(x, y), g.inv(x)) for y in g.elements()]
+                                        for x in g.elements()])
+
+
+def tuple_path_orbits(action, n):
+    """(reps, sizes, orbit_of) by decoding, moving and encoding every tuple."""
+    order = action.g.order
+    orbit_of = [-1] * order ** n
+    reps, sizes = [], []
+    for idx in range(order ** n):
+        if orbit_of[idx] < 0:
+            t = decode_tuple(order, n, idx)
+            members = {encode_tuple(order, action.apply_tuple(q, t))
+                       for q in range(action.q.order)}
+            for mem in members:
+                orbit_of[mem] = len(reps)
+            reps.append(min(members))
+            sizes.append(len(members))
+    return tuple(reps), tuple(sizes), tuple(orbit_of)
+
+
+def column_entries(columns):
+    """The entries of a matrix given as one {row: coefficient} dict per column, in order."""
+    return [((r, c), v) for c, col in enumerate(columns) for r, v in col.items()]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: conjugation_action(dihedral6()),
+    lambda: parse_action_spec("negation", parse_group_spec("product:cyclic:2,cyclic:4")),
+    lambda: parse_action_spec("negation", make_cyclic(1)),
+], ids=["dihedral6-conjugation", "cyclic2xcyclic4-negation", "cyclic1"])
+def test_index_tables_agree_with_the_tuple_path(make):
+    act = make()
+    g, order, top = act.g, act.g.order, 4
+    assert act.q.order > 1 or order == 1
+    clear_caches()
+    bar = bar_complex(g, top)
+    inv = invariant_complex(act, top)
+    coinv = coinvariant_complex(act, top)
+    data = [tuple_orbits(act, n) for n in range(top + 1)]
+    for n in range(top + 1):
+        assert (data[n].reps, data[n].sizes, data[n].orbit_of) == tuple_path_orbits(act, n)
+        assert data[n].count == burnside_orbit_count(act, n)
+    for n in range(1, top + 1):
+        lower = data[n - 1]
+        bar_cols = [{encode_tuple(order, f): v
+                     for f, v in bar_boundary(g, decode_tuple(order, n, i)).items()}
+                    for i in range(order ** n)]
+        inv_cols = [_orbit_coords(_expand_orbit_boundary(act, n, rep), lower, "test")
+                    for rep in data[n].reps]
+        coinv_cols = []
+        for rep in data[n].reps:
+            col = {}
+            for f, v in bar_cols[rep].items():
+                pos = lower.orbit_of[f]
+                col[pos] = col.get(pos, 0) + v
+                if not col[pos]:
+                    del col[pos]
+            coinv_cols.append(col)
+        for slice_, cols in ((bar, bar_cols), (inv, inv_cols), (coinv, coinv_cols)):
+            d = slice_.d(n)
+            assert (d.rows, d.cols) == (lower.count if slice_ is not bar else order ** (n - 1),
+                                        len(cols))
+            assert list(d.entries.items()) == column_entries(cols)
 
 
 def test_slice_serialization_round_trip():

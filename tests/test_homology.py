@@ -5,7 +5,7 @@ import importlib
 
 import pytest
 
-from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
+from invariant_chains.chains import (ComplexSlice, _memo, bar_complex, clear_caches,
                                      coinvariant_complex, invariant_complex,
                                      invariant_inclusion_chain_map, invariant_ses,
                                      fixed_inclusion_chain_map,
@@ -298,3 +298,13 @@ def test_profiles_eliminate_each_boundary_once(monkeypatch):
         calls.clear()
         homology(inv, coeff)  # the Z/3 profile reuses the Z profile from the memo
         assert [(n, id(m)) for n, m in calls] == [(name, id(d)) for d in inv.boundaries]
+    # a reduced copy shares d_2..d_5 with its complex, and with them their
+    # eliminations; only its new zero d_1 is eliminated
+    ses = invariant_ses(negation_action(6), 5)
+    assert all(a is b for a, b in zip(ses.invariants.boundaries[1:], inv.boundaries[1:]))
+    for coeff, name in ((0, "invariant_factors"), (3, "rank_mod_p")):
+        calls.clear()
+        homology(ses.invariants, coeff)
+        assert [(n, id(m)) for n, m in calls] == [(name, id(ses.invariants.boundaries[0]))]
+    # the memo holds each eliminated matrix, so its id is not reused meanwhile
+    assert all(_memo[("eliminated", id(d), 0)][0] is d for d in inv.boundaries)
