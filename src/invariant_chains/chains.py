@@ -180,9 +180,6 @@ class ComplexSlice:
             raise ValueError(f"boundary d_{n} not available (max degree {self.max_degree})")
         return self.boundaries[n - 1]
 
-    def size(self, n: int) -> int:
-        return self.sizes[n]
-
     def reduced_copy(self) -> "ComplexSlice":
         """Replace degree 0 by 0; valid because d_1 is always the zero map here."""
         if self.reduced or self.sizes[0] == 0:
@@ -283,7 +280,8 @@ class OrbitData:
 
 
 def estimate_build_bytes(order: int, max_degree: int) -> int:
-    # dict-of-entries dominated estimate: each boundary entry ~150 bytes
+    # boundary-entry estimate, ~150 bytes each: a column-dict entry takes less,
+    # but the figure is kept so that budgets and `info` output do not move
     total = 0
     for n in range(max_degree + 1):
         total += (order ** n) * (n + 1) * 150
@@ -380,12 +378,9 @@ def bar_complex(g: FiniteGroup, max_degree: int,
     boundaries = []
     basis = [BasisInfo("tuples", n, sizes[n], order) for n in range(max_degree + 1)]
     for n in range(1, max_degree + 1):
-        entries = {}
         faces = _face_tables(g, n)
-        for col in range(sizes[n]):
-            for r, coeff in _face_sum(faces, col).items():
-                entries[(r, col)] = coeff
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
+        columns = [_face_sum(faces, col) for col in range(sizes[n])]
+        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"bar({g.name})", "bar", max_degree, sizes, boundaries, basis)
 
 
@@ -432,14 +427,13 @@ def invariant_complex(action: GroupAction, max_degree: int,
     for n in range(1, max_degree + 1):
         faces = _face_tables(action.g, n)
         moves = _tuple_maps(action.perm, action.g.order, n)
-        entries = {}
-        for col, rep in enumerate(data[n].reps):
+        columns = []
+        for rep in data[n].reps:
             acc: dict[int, int] = {}
             for mem in sorted({m[rep] for m in moves}):
                 _accumulate(acc, _face_sum(faces, mem).items())
-            for pos, coeff in _orbit_coords(acc, data[n - 1], "invariant complex").items():
-                entries[(pos, col)] = coeff
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
+            columns.append(_orbit_coords(acc, data[n - 1], "invariant complex"))
+        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"invariant({action.q.name} on {action.g.name})", "invariant",
                          max_degree, sizes, boundaries, basis)
 
@@ -456,13 +450,10 @@ def coinvariant_complex(action: GroupAction, max_degree: int,
     boundaries = []
     for n in range(1, max_degree + 1):
         faces = _face_tables(action.g, n)
-        entries = {}
         orbit_of = data[n - 1].orbit_of
-        for col, rep in enumerate(data[n].reps):
-            face_sum = _face_sum(faces, rep).items()
-            for pos, coeff in _accumulate({}, ((orbit_of[r], c) for r, c in face_sum)).items():
-                entries[(pos, col)] = coeff
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
+        columns = [_accumulate({}, ((orbit_of[r], c) for r, c in _face_sum(faces, rep).items()))
+                   for rep in data[n].reps]
+        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"coinvariant({action.q.name} on {action.g.name})", "coinvariant",
                          max_degree, sizes, boundaries, basis)
 
@@ -500,12 +491,8 @@ def _uniform_stabilizer(action: GroupAction, max_degree: int) -> int:
             f"norm cokernel has mixed torsion {sorted(found)}; only actions whose "
             "nontrivial tuple stabilizers share one prime order are supported")
     s = found.pop()
-    for p in range(2, s + 1):
-        if s % p == 0:
-            if s != p:
-                raise GroupConstructionError(
-                    f"norm cokernel torsion {s} is not prime")
-            break
+    if not _is_prime(s):
+        raise GroupConstructionError(f"norm cokernel torsion {s} is not prime")
     return s
 
 
@@ -535,12 +522,9 @@ def quotient_complex_D(action: GroupAction, max_degree: int,
     for n in range(1, max_degree + 1):
         pos_of = {j: i for i, j in enumerate(keep[n - 1])}
         d = inv.d(n)
-        entries = {}
-        for ci, j in enumerate(keep[n]):
-            for r, v in d.column(j):
-                if r in pos_of and v % p:
-                    entries[(pos_of[r], ci)] = v % p
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], entries))
+        columns = [{pos_of[r]: v % p for r, v in d.columns[j].items() if r in pos_of}
+                   for j in keep[n]]
+        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"norm-cokernel({action.q.name} on {action.g.name})", "quotient",
                          max_degree, sizes, boundaries, basis, modulus=p, reduced=True)
 
@@ -558,8 +542,10 @@ def quotient_chain_map(action: GroupAction, max_degree: int,
             continue
         data = tuple_orbits(action, n)
         keep = [j for j, s in enumerate(data.stab_orders) if s == p]
-        entries = {(i, j): 1 for i, j in enumerate(keep)}
-        mats.append(SparseIntMatrix(dq.sizes[n], inv.sizes[n], entries))
+        columns: list[dict[int, int]] = [{} for _ in range(inv.sizes[n])]
+        for i, j in enumerate(keep):
+            columns[j] = {i: 1}
+        mats.append(SparseIntMatrix(dq.sizes[n], inv.sizes[n], columns))
     return make_chain_map("norm-quotient", inv, dq, mats)
 
 
@@ -576,12 +562,12 @@ def fixed_inclusion_chain_map(action: GroupAction, max_degree: int,
     mats = []
     for n in range(max_degree + 1):
         data = tuple_orbits(action, n)
-        entries = {}
-        for col, idx in enumerate(_tuple_maps([sub.members], action.g.order, n)[0]):
+        columns = []
+        for idx in _tuple_maps([sub.members], action.g.order, n)[0]:
             pos = data.orbit_of[idx]
             assert data.sizes[pos] == 1, "fixed tuple must be a singleton orbit"
-            entries[(pos, col)] = 1
-        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
+            columns.append({pos: 1})
+        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
     return make_chain_map("fixed-inclusion", src, dst, mats)
 
 
@@ -593,11 +579,9 @@ def invariant_inclusion_chain_map(action: GroupAction, max_degree: int,
     mats = []
     for n in range(max_degree + 1):
         moves = _tuple_maps(action.perm, action.g.order, n)
-        entries = {}
-        for col, rep in enumerate(tuple_orbits(action, n).reps):
-            for mem in sorted({m[rep] for m in moves}):
-                entries[(mem, col)] = 1
-        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
+        columns = [dict.fromkeys(sorted({m[rep] for m in moves}), 1)
+                   for rep in tuple_orbits(action, n).reps]
+        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
     return make_chain_map("invariant-inclusion", src, dst, mats)
 
 
@@ -612,13 +596,12 @@ def subgroup_invariant_inclusion(action: GroupAction, k: Subgroup, max_degree: i
         sub_data = tuple_orbits(sub_action, n)
         data = tuple_orbits(action, n)
         embedded = _tuple_maps([k.members], action.g.order, n)[0]
-        entries = {}
-        for col, rep in enumerate(sub_data.reps):
+        columns = []
+        for rep, size in zip(sub_data.reps, sub_data.sizes):
             pos = data.orbit_of[embedded[rep]]
-            assert data.sizes[pos] == sub_data.sizes[col], \
-                "embedded orbit must match the subgroup orbit"
-            entries[(pos, col)] = 1
-        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
+            assert data.sizes[pos] == size, "embedded orbit must match the subgroup orbit"
+            columns.append({pos: 1})
+        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
     return make_chain_map("subgroup-inclusion", src, dst, mats)
 
 
@@ -629,9 +612,8 @@ def subgroup_bar_inclusion(g: FiniteGroup, k: Subgroup, max_degree: int,
     dst = bar_complex(g, max_degree, memory_budget)
     mats = []
     for n in range(max_degree + 1):
-        embedded = _tuple_maps([k.members], g.order, n)[0]
-        entries = {(idx, col): 1 for col, idx in enumerate(embedded)}
-        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
+        columns = [{idx: 1} for idx in _tuple_maps([k.members], g.order, n)[0]]
+        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
     return make_chain_map("bar-inclusion", src, dst, mats)
 
 
@@ -708,13 +690,10 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
         dst = bar_complex(k_group, max_degree, memory_budget)
         mats = []
         for n in range(max_degree + 1):
-            entries: dict[tuple[int, int], int] = {}
-            for col in range(g.order ** n):
-                t = decode_tuple(g.order, n, col)
-                for kt, coeff in transfer_tuple(g, k, e, rep_of, t).items():
-                    key = (encode_tuple(k_order, kt), col)
-                    entries[key] = entries.get(key, 0) + coeff
-            mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
+            columns = [{encode_tuple(k_order, kt): coeff for kt, coeff
+                        in transfer_tuple(g, k, e, rep_of, decode_tuple(g.order, n, col)).items()}
+                       for col in range(g.order ** n)]
+            mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
         return make_chain_map("transfer", src, dst, mats)
 
     if action.g != g:
@@ -726,22 +705,20 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
     for n in range(max_degree + 1):
         moves = _tuple_maps(action.perm, g.order, n)
         sub_data = tuple_orbits(sub_action, n)
-        entries = {}
-        for col, rep in enumerate(tuple_orbits(action, n).reps):
+        columns = []
+        for rep in tuple_orbits(action, n).reps:
             acc: dict[int, int] = {}
             for mem in sorted({m[rep] for m in moves}):
                 t = decode_tuple(g.order, n, mem)
                 _accumulate(acc, ((encode_tuple(k_order, kt), coeff) for kt, coeff
                                   in transfer_tuple(g, k, e, rep_of, t).items()))
             try:
-                coords = _orbit_coords(acc, sub_data, "transfer")
+                columns.append(_orbit_coords(acc, sub_data, "transfer"))
             except InternalCheckError as exc:
                 raise EquivarianceError(
                     f"transversal {list(e)} does not map invariant chains to "
                     f"invariant chains at degree {n}") from exc
-            for pos, coeff in coords.items():
-                entries[(pos, col)] = coeff
-        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], entries))
+        mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
     return make_chain_map("equivariant-transfer", src, dst, mats)
 
 
@@ -894,7 +871,8 @@ def slice_to_json(s: ComplexSlice) -> dict:
         "reduced": s.reduced,
         "boundaries": [
             {"rows": m.rows, "cols": m.cols,
-             "entries": [[r, c, v] for (r, c), v in sorted(m.entries.items())]}
+             "entries": sorted([r, c, v] for c, col in enumerate(m.columns)
+                               for r, v in col.items())}
             for m in s.boundaries
         ],
         "basis": [
@@ -910,7 +888,7 @@ def slice_from_json(data: dict) -> ComplexSlice:
     if data.get("schema") != 1:
         raise ValueError("unknown slice schema")
     boundaries = [
-        SparseIntMatrix(m["rows"], m["cols"], [(r, c, v) for r, c, v in m["entries"]])
+        SparseIntMatrix.from_entries(m["rows"], m["cols"], m["entries"])
         for m in data["boundaries"]
     ]
     basis = [

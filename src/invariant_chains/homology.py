@@ -138,17 +138,15 @@ class HomologyProfile:
             bounds = v_inv.mul(self.slice.d(n + 1))
             if mod:
                 bounds = bounds.to_mod(mod)
-            relations = {}
-            for (i, c), v in bounds.entries.items():
-                if i < r:
-                    raise InternalCheckError("boundary column is not a cycle")
-                relations[(i - r, c)] = v
+            if any(col and min(col) < r for col in bounds.columns):
+                raise InternalCheckError("boundary column is not a cycle")
+            relations = [{i - r: v for i, v in col.items()} for col in bounds.columns]
             presented = present_fg_abelian(k, SparseIntMatrix(k, bounds.cols, relations), mod)
             if FgAbelianGroup(presented.free_rank, presented.torsion) != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "
                     f"rank/torsion computation")
-            cycles = SparseIntMatrix.from_columns(d_n.cols, eng.v.lines[r:])
+            cycles = SparseIntMatrix._trusted(d_n.cols, k, eng.v.lines[r:])
             self._bundles[n] = _Bundle(r, cycles, v_inv, presented)
         return self._bundles[n]
 
@@ -244,7 +242,7 @@ def action_on_homology(action: GroupAction, profile: HomologyProfile,
     gens = profile.generators(n)
     homs = []
     for move in _tuple_maps(action.perm, action.g.order, n):
-        mat = SparseIntMatrix(size, size, {(r, t): 1 for t, r in enumerate(move)})
+        mat = SparseIntMatrix(size, size, [{r: 1} for r in move])
         cols = [profile.reduce(n, mat.mul_vec(g)) for g in gens]
         homs.append(AbelianHom.from_columns(group, group, cols))
     return homs
@@ -274,9 +272,10 @@ def connecting_homomorphism(ses: InvariantSES, n: int) -> AbelianHom:
 
     proj = ses.project.mat(n)
     d_to_inv = [-1] * ses.quotient.sizes[n]
-    for (i, j), v in proj.entries.items():
-        if v == 1:
-            d_to_inv[i] = j
+    for j, col in enumerate(proj.columns):
+        for i, v in col.items():
+            if v == 1:
+                d_to_inv[i] = j
     norm_diag = ses.norm.mat(n - 1)
     inv_d = ses.invariants.d(n)
 

@@ -34,6 +34,10 @@ they are plain lists of dicts.  While the pivot column holds only the
 pivot row, a column operation of the pivot-row clear can only delete one
 entry of that row, so the engine deletes it directly and replays the
 operation on V and V^-1 alone.
+
+There is one sparse format: a `SparseIntMatrix` keeps one {row: value} dict
+per column, as a column-kept `_Lines` does.  So V, U^-1 and kernel bases
+become matrices without a copy; U and V^-1, kept by rows, are transposed once.
 """
 
 from __future__ import annotations
@@ -64,68 +68,68 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class SparseIntMatrix:
-    """Immutable sparse integer matrix; only nonzero entries are stored."""
+    """Immutable sparse integer matrix kept by columns, zeros never stored.
 
-    __slots__ = ("rows", "cols", "entries", "_col_cache")
+    `columns[c]` maps row -> value for column c, the same layout as a
+    column-kept `_Lines`.  Matrices built from one another may share column
+    dicts, so a column dict is never changed once it is in a matrix.
+    """
 
-    def __init__(self, rows: int, cols: int, entries=None):
+    __slots__ = ("rows", "cols", "columns")
+
+    def __init__(self, rows: int, cols: int, columns: Sequence[dict[int, int]] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
+        if columns is None:
+            columns = [{}] * cols
+        elif len(columns) != cols:
+            raise ValueError(f"{len(columns)} columns given for {rows}x{cols}")
+        store = []
+        for c, col in enumerate(columns):
+            if col and (min(col) < 0 or max(col) >= rows):
+                r = next(r for r in col if not 0 <= r < rows)
+                raise ValueError(f"entry index {(r, c)} out of range for {rows}x{cols}")
+            store.append({r: int(v) for r, v in col.items() if v})
         self.rows = rows
         self.cols = cols
-        store: dict[tuple[int, int], int] = {}
-        if entries:
-            if isinstance(entries, dict):
-                items = (((r, c), v) for (r, c), v in entries.items())
-            else:
-                items = (((r, c), v) for r, c, v in entries)
-            for (r, c), v in items:
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry index {(r, c)} out of range for {rows}x{cols}")
-                if v:
-                    store[(r, c)] = int(v)
-        self.entries = store
-        self._col_cache = None
+        self.columns = store
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: dict[tuple[int, int], int]) -> "SparseIntMatrix":
-        """Wrap an entry dict, already in range and free of zeros, without checks."""
+    def _trusted(cls, rows: int, cols: int, columns: list[dict[int, int]]) -> "SparseIntMatrix":
+        """Wrap column dicts, already in range and free of zeros, without checks."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
-        m._col_cache = None
+        m.columns = columns
         return m
 
     # -- construction helpers
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries) -> "SparseIntMatrix":
+        """The matrix with the given entries, a {(r, c): v} dict or (r, c, v) triples."""
+        items = entries.items() if isinstance(entries, dict) else (
+            ((r, c), v) for r, c, v in entries)
+        columns: list[dict[int, int]] = [{} for _ in range(cols)]
+        for (r, c), v in items:
+            if not 0 <= c < cols:
+                raise ValueError(f"entry index {(r, c)} out of range for {rows}x{cols}")
+            columns[c][r] = v
+        return cls(rows, cols, columns)
 
     @classmethod
     def from_dense(cls, data: Sequence[Sequence[int]], cols: int | None = None) -> "SparseIntMatrix":
         rows = len(data)
         if cols is None:
             cols = len(data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = int(v)
-        return cls(rows, cols, entries)
-
-    @classmethod
-    def from_columns(cls, nrows: int, columns: Sequence[dict[int, int] | Sequence[int]]) -> "SparseIntMatrix":
-        entries = {}
-        for c, col in enumerate(columns):
-            items = col.items() if isinstance(col, dict) else enumerate(col)
-            for r, v in items:
-                if v:
-                    entries[(r, c)] = int(v)
-        return cls(nrows, len(columns), entries)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, [{r: row[c] for r, row in enumerate(data) if row[c]}
+                                for c in range(cols)])
 
     @classmethod
     def identity(cls, n: int) -> "SparseIntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._trusted(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseIntMatrix":
@@ -134,69 +138,56 @@ class SparseIntMatrix:
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "SparseIntMatrix":
         n = len(values)
-        return cls(rows if rows is not None else n, cols if cols is not None else n,
-                   {(i, i): v for i, v in enumerate(values) if v})
+        cols = n if cols is None else cols
+        return cls(n if rows is None else rows, cols,
+                   [{i: v} for i, v in enumerate(values)] + [{}] * (cols - n))
 
     # -- accessors
 
     def get(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
+        return self.columns[c].get(r, 0)
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def columns(self) -> dict[int, list[tuple[int, int]]]:
-        """Column index: col -> sorted list of (row, value)."""
-        if self._col_cache is None:
-            cache: dict[int, list[tuple[int, int]]] = defaultdict(list)
-            for (r, c), v in sorted(self.entries.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-                cache[c].append((r, v))
-            self._col_cache = dict(cache)
-        return self._col_cache
-
-    def column(self, c: int) -> list[tuple[int, int]]:
-        return self.columns().get(c, [])
+        return not any(self.columns)
 
     def to_dense(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][c] = v
         return out
 
     def transpose(self) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        out: list[dict[int, int]] = [{} for _ in range(self.rows)]
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][c] = v
+        return SparseIntMatrix._trusted(self.cols, self.rows, out)
 
     def to_mod(self, p: int) -> "SparseIntMatrix":
-        return SparseIntMatrix(self.rows, self.cols,
-                               {(r, c): v % p for (r, c), v in self.entries.items() if v % p})
+        return SparseIntMatrix._trusted(self.rows, self.cols, [
+            {r: v % p for r, v in col.items() if v % p} for col in self.columns])
 
     # -- arithmetic
 
     def mul(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        # the left factor by column, the right factor by output column; each
-        # output column is summed in a dict keyed by row
-        left: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for (a, b), w in self.entries.items():
-            left[b].append((a, w))
-        right: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for (b, c), v in other.entries.items():
-            right[c].append((b, v))
-        entries: dict[tuple[int, int], int] = {}
-        for c, col in right.items():
-            acc: dict[int, int] = defaultdict(int)
-            for b, v in col:
-                for a, w in left.get(b, ()):
-                    acc[a] += w * v
-            for a, x in acc.items():
-                if x:
-                    entries[(a, c)] = x
-        return SparseIntMatrix._trusted(self.rows, other.cols, entries)
+        # column c of the product is the sum of the left columns b, each
+        # times the entry (b, c) of the right factor
+        left = self.columns
+        out = []
+        for col in other.columns:
+            acc: dict[int, int] = {}
+            for b, v in col.items():
+                for a, w in left[b].items():
+                    acc[a] = acc.get(a, 0) + w * v
+            out.append({a: x for a, x in acc.items() if x})
+        return SparseIntMatrix._trusted(self.rows, other.cols, out)
 
     __matmul__ = mul
 
@@ -204,44 +195,25 @@ class SparseIntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.rows
-        for (r, c), v in self.entries.items():
-            x = vec[c]
+        for x, col in zip(vec, self.columns):
             if x:
-                out[r] += v * x
+                for r, v in col.items():
+                    out[r] += v * x
         return out
-
-    def scale(self, k: int) -> "SparseIntMatrix":
-        if k == 0:
-            return SparseIntMatrix.zero(self.rows, self.cols)
-        return SparseIntMatrix(self.rows, self.cols, {key: k * v for key, v in self.entries.items()})
-
-    def add(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        acc = dict(self.entries)
-        for key, v in other.entries.items():
-            nv = acc.get(key, 0) + v
-            if nv:
-                acc[key] = nv
-            else:
-                acc.pop(key, None)
-        return SparseIntMatrix(self.rows, self.cols, acc)
 
     def hstack(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r, c + self.cols)] = v
-        return SparseIntMatrix(self.rows, self.cols + other.cols, entries)
+        return SparseIntMatrix._trusted(self.rows, self.cols + other.cols,
+                                        self.columns + other.columns)
 
     def __eq__(self, other):
         if not isinstance(other, SparseIntMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
+        return hash((self.rows, self.cols, tuple(frozenset(col.items()) for col in self.columns)))
 
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -276,9 +248,10 @@ class _Lines:
         return ws
 
     def to_matrix(self, rows: int, cols: int, by_rows: bool) -> SparseIntMatrix:
-        return SparseIntMatrix._trusted(rows, cols, {
-            ((i, j) if by_rows else (j, i)): v
-            for i, line in enumerate(self.lines) for j, v in line.items()})
+        """The lines as a rows x cols matrix; kept by columns, they are handed over as they are."""
+        if by_rows:
+            return SparseIntMatrix._trusted(cols, rows, self.lines).transpose()
+        return SparseIntMatrix._trusted(rows, cols, self.lines)
 
     def axpy(self, src: int, dst: int, k: int) -> None:
         # line[dst] += k * line[src]
@@ -427,9 +400,6 @@ class SnfResult:
     u: SparseIntMatrix
     v: SparseIntMatrix
 
-    def diagonal_matrix(self, rows: int, cols: int) -> SparseIntMatrix:
-        return SparseIntMatrix.diagonal(self.s, rows, cols)
-
 
 class _SnfEngine:
     """Sparse Smith normal form U*M*V = D over Z (mod = 0) or Z/p (mod = p).
@@ -450,12 +420,13 @@ class _SnfEngine:
         self.m = m
         self.mod = mod
         ws = self.ws = _IndexedLines(m.rows, mod)
-        for (r, c), v in m.entries.items():
-            if mod:
-                v %= mod
-            if v:
-                ws.lines[r][c] = v
-                ws.cross[c].add(r)
+        for c, col in enumerate(m.columns):
+            for r, v in col.items():
+                if mod:
+                    v %= mod
+                if v:
+                    ws.lines[r][c] = v
+                    ws.cross[c].add(r)
         # U and V^-1 are kept by rows, U^-1 and V by columns
         self.u = _Lines.identity(m.rows, mod) if want_u else None
         self.u_inv = _Lines.identity(m.rows, mod) if want_u_inv else None
@@ -723,7 +694,8 @@ class ColumnEchelon:
         self._v_cols = eng.v.lines
 
     def kernel_matrix(self) -> SparseIntMatrix:
-        return SparseIntMatrix.from_columns(self.ncols, self._v_cols[self.rank:])
+        return SparseIntMatrix._trusted(self.ncols, self.ncols - self.rank,
+                                        self._v_cols[self.rank:])
 
     def solve(self, b: Vector | dict[int, int]) -> list[int] | None:
         """Solve M*x = b over Z, or return None if b is outside the lattice."""
@@ -937,7 +909,8 @@ def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix,
 
 def _relation_matrix(orders: Sequence[int]) -> SparseIntMatrix:
     """Columns o_i * e_i for the finite generator orders o_i (0 means infinite)."""
-    return SparseIntMatrix.from_columns(len(orders), [{i: o} for i, o in enumerate(orders) if o])
+    columns = [{i: o} for i, o in enumerate(orders) if o]
+    return SparseIntMatrix(len(orders), len(columns), columns)
 
 
 class AbelianHom:
@@ -1000,7 +973,7 @@ class AbelianHom:
             out[i] = sum(w * x for w, x in zip(row, coords))
         return self.target.normalize(out)
 
-    def columns(self) -> list[tuple[int, ...]]:
+    def images(self) -> list[tuple[int, ...]]:
         """The image of each source generator, in target coordinates."""
         return [tuple(row[j] for row in self.matrix) for j in range(self.source.ngens)]
 
@@ -1009,7 +982,7 @@ class AbelianHom:
         if other.target is not self.source and other.target != self.source:
             raise ValueError("composition type mismatch")
         return AbelianHom.from_columns(other.source, self.target,
-                                       [self.apply(col) for col in other.columns()])
+                                       [self.apply(col) for col in other.images()])
 
     def is_zero_map(self) -> bool:
         orders = self.target.gen_orders()
@@ -1050,8 +1023,8 @@ class FgSubgroup:
     def same_subgroup(self, other: "FgSubgroup") -> bool:
         if self.ambient != other.ambient:
             return False
-        return (all(other.contains(g) for g in self.inclusion.columns())
-                and all(self.contains(g) for g in other.inclusion.columns()))
+        return (all(other.contains(g) for g in self.inclusion.images())
+                and all(self.contains(g) for g in other.inclusion.images()))
 
 
 def _subgroup_from_generators(ambient: FgAbelianGroup,
@@ -1062,12 +1035,13 @@ def _subgroup_from_generators(ambient: FgAbelianGroup,
     `ambient`, gives both the relations among the generators (the G part of
     its kernel) and membership in the subgroup (a lattice solve).
     """
-    gmat = SparseIntMatrix.from_columns(ambient.ngens, gen_cols)
-    g = gmat.cols
+    g = len(gen_cols)
+    gmat = SparseIntMatrix(ambient.ngens, g, [{r: v for r, v in enumerate(col) if v}
+                                              for col in gen_cols])
     membership = ColumnEchelon(gmat.hstack(_relation_matrix(ambient.gen_orders())))
     ker = membership.kernel_matrix()
-    rel_cols = [{r: v for r, v in ker.column(c) if r < g} for c in range(ker.cols)]
-    presented = present_fg_abelian(g, SparseIntMatrix.from_columns(g, rel_cols))
+    rel_cols = [{r: v for r, v in col.items() if r < g} for col in ker.columns]
+    presented = present_fg_abelian(g, SparseIntMatrix(g, ker.cols, rel_cols))
     # inclusion: push each abstract generator through G into ambient coords
     incl_cols = [ambient.normalize(gmat.mul_vec(list(gen))) for gen in presented.gens]
     inclusion = AbelianHom.from_columns(presented, ambient, incl_cols)
@@ -1086,9 +1060,9 @@ def _preimage_of_relations(source: FgAbelianGroup, rows: Sequence[Vector],
     h = SparseIntMatrix.from_dense(rows, n)
     ker = kernel_basis(h.hstack(_relation_matrix(target_orders)))
     gens = []
-    for c in range(ker.cols):
+    for col in ker.columns:
         vec = [0] * n
-        for r, v in ker.column(c):
+        for r, v in col.items():
             if r < n:
                 vec[r] = v
         gens.append(vec)
@@ -1104,7 +1078,7 @@ def kernel_of_hom(h: AbelianHom) -> FgSubgroup:
 
 
 def image_of_hom(h: AbelianHom) -> FgSubgroup:
-    return _subgroup_from_generators(h.target, h.columns())
+    return _subgroup_from_generators(h.target, h.images())
 
 
 def fixed_points_of_hom_family(group: FgAbelianGroup,

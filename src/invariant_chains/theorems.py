@@ -151,7 +151,7 @@ def _istar_claims(report: VerificationReport, action: GroupAction, max_degree: i
         i_star = induced_map(incl, inv_prof, bar_prof, deg)
         fixed_sub = fixed_homology(action, bar_prof, deg)
         image = image_of_hom(i_star)
-        contained = all(fixed_sub.contains(col) for col in image.inclusion.columns())
+        contained = all(fixed_sub.contains(col) for col in image.inclusion.images())
         report.check(f"image(i_*) inside fixed classes, degree {deg}", contained)
         ker = kernel_of_hom(i_star)
         q_order = action.q.order
@@ -379,13 +379,8 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
     def chain_boundary(two_chain: dict[tuple[int, int], int]) -> dict[int, int]:
         acc: dict[int, int] = {}
         for t, coeff in two_chain.items():
-            for face, sign in bar_boundary(g, t).items():
-                key = face[0]
-                v = acc.get(key, 0) + coeff * sign
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
+            chains._accumulate(acc, ((face[0], coeff * sign)
+                                     for face, sign in bar_boundary(g, t).items()))
         return acc
 
     for rep in orbit_reps:
@@ -472,14 +467,14 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
     f_star = induced_map(f, sub_prof, inv_prof, 1)
     report.check("fixed-subgroup map injective on degree-1 homology",
                  kernel_of_hom(f_star).order() == 1)
-    tau_entries = {}
-    for pos, rep in enumerate(data1.reps):
+    tau_cols = []
+    for rep in data1.reps:
         prod = 0
         for mem in orbit_members(action, 1, rep):
             prod = g.mul(prod, mem)
         assert all(p[prod] == prod for p in action.perm), "orbit product must be fixed"
-        tau_entries[(sub.local_index(prod), pos)] = 1
-    tau = SparseIntMatrix(sub.order, inv.sizes[1], tau_entries)
+        tau_cols.append({sub.local_index(prod): 1})
+    tau = SparseIntMatrix(sub.order, inv.sizes[1], tau_cols)
     ok = True
     for gen in sub_prof.generators(1):
         pushed = tau.mul_vec(f.mat(1).mul_vec(gen))
@@ -517,18 +512,13 @@ def truncated_integer_h1(bound: int) -> VerificationReport:
                 continue
             seen.add((a, b))
             seen.add((-a, -b))
-            col: dict[int, int] = {}
-            for vec, sgn in ((e_vec(a), 1), (e_vec(b), 1), (e_vec(a + b), -1)):
-                for i, v in vec.items():
-                    nv = col.get(i, 0) + sgn * v
-                    if nv:
-                        col[i] = nv
-                    else:
-                        col.pop(i, None)
+            col = chains._accumulate({}, (
+                (i, sgn * v) for vec, sgn in ((e_vec(a), 1), (e_vec(b), 1), (e_vec(a + b), -1))
+                for i, v in vec.items()))
             if col:
                 rel_cols.append(col)
 
-    relations = SparseIntMatrix.from_columns(ngens, rel_cols)
+    relations = SparseIntMatrix(ngens, len(rel_cols), rel_cols)
     group = present_fg_abelian(ngens, relations)
 
     # (a) parity is zero on every relation, hence induces a surjection onto Z/2
@@ -536,8 +526,7 @@ def truncated_integer_h1(bound: int) -> VerificationReport:
         return sum(v * (i % 2) for i, v in col.items()) % 2
 
     report.check("parity map kills every instantiated relation",
-                 all(parity({r: v for r, v in relations.column(c)}) == 0
-                     for c in range(relations.cols)))
+                 all(parity(col) == 0 for col in relations.columns))
     report.check("parity map hits 1", parity({1: 1}) == 1)
 
     def unit(i: int) -> list[int]:

@@ -60,9 +60,9 @@ def test_generator_reduce_unit_property():
                 assert coords == tuple(1 if j == i else 0 for j in range(len(gens)))
             # every boundary reduces to zero
             d_up = slc.d(deg + 1)
-            for c in range(d_up.cols):
+            for column in d_up.columns:
                 col = [0] * slc.sizes[deg]
-                for r, v in d_up.column(c):
+                for r, v in column.items():
                     col[r] = v
                 assert not any(prof.reduce(deg, col))
 

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import math
 import random
 
@@ -81,12 +82,12 @@ def test_snf_transforms_reproduce_diagonal():
                                              (12, 3, 4, 0), (3, 12, 0, 5), (10, 4, 0, 0),
                                              (4, 10, 0, 0)):
         block = random_matrix(rng, rows - zero_rows, cols - zero_cols, density=0.5)
-        placed.append(SparseIntMatrix(rows, cols, {
-            (r + zero_rows, c + zero_cols): v for (r, c), v in block.entries.items()}))
+        placed.append(SparseIntMatrix(rows, cols, [{}] * zero_cols + [
+            {r + zero_rows: v for r, v in col.items()} for col in block.columns]))
     for m in small + placed + z4_boundaries():
         rows, cols = m.rows, m.cols
         res = smith_normal_form(m)
-        assert res.u.mul(m).mul(res.v) == res.diagonal_matrix(rows, cols)
+        assert res.u.mul(m).mul(res.v) == SparseIntMatrix.diagonal(res.s, rows, cols)
         for a, b in zip(res.s, res.s[1:]):
             assert b % a == 0 and a > 0
         if rows <= 8 and cols <= 8:
@@ -109,7 +110,7 @@ def test_snf_transforms_reproduce_diagonal():
             assert all(0 < d < p for d in eng.diag)
             assert u.mul(u_inv).to_mod(p) == SparseIntMatrix.identity(rows)
             assert v.mul(v_inv).to_mod(p) == SparseIntMatrix.identity(cols)
-            kernel = SparseIntMatrix.from_columns(cols, eng.v.lines[rank:])
+            kernel = SparseIntMatrix(cols, cols - rank, eng.v.lines[rank:])
             assert kernel.cols == cols - rank and m.mul(kernel).to_mod(p).is_zero()
             if m in small:
                 assert rank == sympy.Matrix(m.to_dense()).rank(iszerofunc=lambda x: x % p == 0)
@@ -147,7 +148,7 @@ def test_pivot_queue_matches_linear_scan():
     # most pivot choices are decided by the lowest-index tie-break
     for _ in range(20):
         rows, cols = rng.randint(3, 8), rng.randint(20, 40)
-        mats.append(SparseIntMatrix(rows, cols, {
+        mats.append(SparseIntMatrix.from_entries(rows, cols, {
             (r, c): rng.choice((-3, -2, -1, 1, 2, 3))
             for c in range(cols) for r in rng.sample(range(rows), rng.randint(2, 3))}))
     mats += z4_boundaries()
@@ -302,9 +303,9 @@ def test_present_generator_data_reduces_to_units():
             coords = g.reduce(gen)
             assert coords == tuple(1 if j == i else 0 for j in range(g.ngens))
         # every relation column reduces to zero
-        for c in range(rels.cols):
+        for col in rels.columns:
             vec = [0] * rank
-            for r, v in rels.column(c):
+            for r, v in col.items():
                 vec[r] = v
             assert all(x == 0 for x in g.reduce(vec))
 
@@ -450,10 +451,10 @@ def elements(group):
 def test_kernel_and_image_properties(h):
     ker, im = kernel_of_hom(h), image_of_hom(h)
     zero = (0,) * h.target.ngens
-    assert all(h.apply(col) == zero for col in ker.inclusion.columns())
-    assert all(im.contains(col) for col in h.columns())
+    assert all(h.apply(col) == zero for col in ker.inclusion.images())
+    assert all(im.contains(col) for col in h.images())
     for sub in (ker, im):
-        assert all(sub.contains(col) for col in sub.inclusion.columns())
+        assert all(sub.contains(col) for col in sub.inclusion.images())
     if h.source.order() is not None:
         assert ker.order() * im.order() == h.source.order()
         # the kernel holds exactly the elements h sends to 0
@@ -468,7 +469,7 @@ def test_fixed_points_are_the_kernel_of_rho_minus_one(rho):
                                       for i, row in enumerate(rho.matrix)])
     fixed = fixed_points_of_hom_family(g, [rho])
     assert fixed.same_subgroup(kernel_of_hom(rho_minus_one))
-    assert all(fixed.contains(col) for col in fixed.inclusion.columns())
+    assert all(fixed.contains(col) for col in fixed.inclusion.images())
 
 
 def test_field_echelon_and_ranks():
@@ -507,16 +508,16 @@ def test_mul_matches_dense_product():
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 7))
         pairs.append((m, kernel_basis(m)))
     # empty rows and columns on both sides
-    pairs.append((SparseIntMatrix(4, 3, {(0, 1): 2, (2, 1): -1, (2, 2): 3}),
-                  SparseIntMatrix(3, 5, {(1, 0): 3, (1, 4): -2, (2, 4): 1})))
-    pairs.append((SparseIntMatrix(3, 2, {(0, 0): 1, (1, 1): 1}),
-                  SparseIntMatrix(2, 3, {(0, 0): 1, (1, 0): -1})))
+    pairs.append((SparseIntMatrix.from_entries(4, 3, {(0, 1): 2, (2, 1): -1, (2, 2): 3}),
+                  SparseIntMatrix.from_entries(3, 5, {(1, 0): 3, (1, 4): -2, (2, 4): 1})))
+    pairs.append((SparseIntMatrix.from_entries(3, 2, {(0, 0): 1, (1, 1): 1}),
+                  SparseIntMatrix.from_entries(2, 3, {(0, 0): 1, (1, 0): -1})))
     for x, y in pairs:
         p = x.mul(y)
         assert (p.rows, p.cols) == (x.rows, y.cols)
         assert p.to_dense() == dense_product(x, y)
-        assert all(p.entries.values())
-        assert p == SparseIntMatrix(p.rows, p.cols, dict(p.entries))
+        assert all(v for col in p.columns for v in col.values())
+        assert p == SparseIntMatrix(p.rows, p.cols, p.columns)
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 3).mul(SparseIntMatrix(2, 3))
 
@@ -526,9 +527,10 @@ def test_lines_to_matrix_round_trip():
     for _ in range(20):
         m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), density=0.4)
         by_rows, by_cols = _Lines(m.rows), _Lines(m.cols)
-        for (r, c), v in m.entries.items():
-            by_rows.lines[r][c] = v
-            by_cols.lines[c][r] = v
+        for c, col in enumerate(m.columns):
+            for r, v in col.items():
+                by_rows.lines[r][c] = v
+                by_cols.lines[c][r] = v
         assert by_rows.to_matrix(m.rows, m.cols, by_rows=True) == m
         assert by_cols.to_matrix(m.rows, m.cols, by_rows=False) == m
 
@@ -539,6 +541,103 @@ def test_matrix_basics():
     assert m.mul(SparseIntMatrix.identity(2)) == m
     assert m.mul_vec([1, 1]) == [3, 7]
     with pytest.raises(ValueError):
-        SparseIntMatrix(2, 2, {(2, 0): 1})
+        SparseIntMatrix.from_entries(2, 2, {(2, 0): 1})
     h = m.hstack(SparseIntMatrix.identity(2))
     assert h.cols == 4 and h.get(0, 2) == 1
+
+
+# ---------------------------------------------------------------------------
+# the column store of SparseIntMatrix
+
+
+@st.composite
+def column_dicts(draw, rows=None, cols=None):
+    """(rows, cols, columns): one {row: value} dict per column, zero values included."""
+    rows = draw(st.integers(0, 6)) if rows is None else rows
+    cols = draw(st.integers(0, 6)) if cols is None else cols
+    cell = st.dictionaries(st.integers(0, max(rows - 1, 0)), st.integers(-4, 4), max_size=rows)
+    return rows, cols, [draw(cell) for _ in range(cols)]
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    return SparseIntMatrix(*draw(column_dicts(rows, cols)))
+
+
+@st.composite
+def product_pairs(draw):
+    a, b, c = (draw(st.integers(0, 6)) for _ in range(3))
+    return draw(matrices(a, b)), draw(matrices(b, c))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(product_pairs())
+def test_column_mul_matches_dense_product(pair):
+    x, y = pair
+    p = x.mul(y)
+    assert (p.rows, p.cols) == (x.rows, y.cols)
+    assert p.to_dense() == dense_product(x, y)
+    assert all(v for col in p.columns for v in col.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_column_matrix_operations(data):
+    m = data.draw(matrices())
+    dm = m.to_dense()
+    vec = data.draw(st.lists(st.integers(-5, 5), min_size=m.cols, max_size=m.cols))
+    assert m.mul_vec(vec) == [sum(a * x for a, x in zip(row, vec)) for row in dm]
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert t.to_dense() == [[dm[r][c] for r in range(m.rows)] for c in range(m.cols)]
+    assert t.transpose() == m
+    other = data.draw(matrices(rows=m.rows))
+    h = m.hstack(other)
+    assert (h.rows, h.cols) == (m.rows, m.cols + other.cols)
+    assert h.to_dense() == [a + b for a, b in zip(dm, other.to_dense())]
+    for p in (2, 3, 5):
+        reduced = m.to_mod(p)
+        assert reduced.to_dense() == [[v % p for v in row] for row in dm]
+        assert all(v for col in reduced.columns for v in col.values())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(matrices())
+def test_from_entries_inverts_json_triples(m):
+    triples = json.loads(json.dumps(sorted(
+        [r, c, v] for c, col in enumerate(m.columns) for r, v in col.items())))
+    assert SparseIntMatrix.from_entries(m.rows, m.cols, triples) == m
+    assert SparseIntMatrix.from_entries(m.rows, m.cols, {(r, c): v for r, c, v in triples}) == m
+    assert m.nnz == len(triples)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(column_dicts())
+def test_equal_content_in_another_order_is_equal(drawn):
+    rows, cols, columns = drawn
+    m = SparseIntMatrix(rows, cols, columns)
+    reordered = SparseIntMatrix(rows, cols, [dict(reversed(col.items())) for col in columns])
+    assert [list(c.items()) for c in reordered.columns] == \
+        [list(reversed(c.items())) for c in m.columns]
+    assert reordered == m and hash(reordered) == hash(m)
+    assert len({m, reordered}) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(column_dicts())
+def test_constructor_checks_shape_and_drops_zeros(drawn):
+    rows, cols, columns = drawn
+    m = SparseIntMatrix(rows, cols, columns)
+    assert m.nnz == sum(1 for col in columns for v in col.values() if v)
+    assert m.columns == [{r: v for r, v in col.items() if v} for col in columns]
+    with pytest.raises(ValueError, match="columns given"):
+        SparseIntMatrix(rows, cols + 1, columns)
+    for bad_row in (rows, -1):
+        bad = [dict(col) for col in columns] + [{bad_row: 1}]
+        with pytest.raises(ValueError, match="out of range"):
+            SparseIntMatrix(rows, cols + 1, bad)
+
+
+def test_constructor_converts_values_to_int():
+    m = SparseIntMatrix(2, 1, [{0: True, 1: False}])
+    assert m.columns == [{0: 1}] and type(m.columns[0][0]) is int

@@ -66,7 +66,7 @@ def test_transfer_collapses_to_trivial_subgroup():
     z3 = make_cyclic(3)
     k = trivial_subgroup(z3)
     tr = transfer_chain_map(z3, k, [0, 1, 2], 2)
-    assert tr.mat(1).column(1) == [(0, 3)]  # tau[1] = 3 [e]
+    assert tr.mat(1).columns[1] == {0: 3}  # tau[1] = 3 [e]
 
 
 def test_transfer_rejects_bad_transversal():
