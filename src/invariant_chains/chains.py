@@ -131,30 +131,6 @@ def _face_sum(faces: list[array], i: int) -> dict[int, int]:
 # complexes
 
 
-@dataclass(frozen=True)
-class BasisInfo:
-    """Descriptor of one degree's basis, enough to print labels and serialize."""
-
-    kind: str  # "tuples" | "orbits" | "fixed-orbits" | "point" | "empty"
-    degree: int
-    size: int
-    group_order: int = 0
-    reps: tuple[int, ...] = ()
-    stab_orders: tuple[int, ...] = ()
-
-    def label(self, i: int) -> str:
-        if self.kind == "tuples":
-            t = decode_tuple(self.group_order, self.degree, i)
-            return "[" + "|".join(map(str, t)) + "]"
-        if self.kind in ("orbits", "fixed-orbits"):
-            t = decode_tuple(self.group_order, self.degree, self.reps[i])
-            body = "[" + "|".join(map(str, t)) + "]"
-            return f"orbit{body}"
-        if self.kind == "point":
-            return "*"
-        return f"e{i}"
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexSlice:
     """A chain complex truncated at max_degree, with d_1..d_max available.
@@ -169,7 +145,6 @@ class ComplexSlice:
     max_degree: int
     sizes: tuple[int, ...]
     boundaries: tuple[SparseIntMatrix, ...]
-    basis: tuple[BasisInfo, ...]
     modulus: int = 0
     reduced: bool = False
 
@@ -190,15 +165,14 @@ class ComplexSlice:
         bnds = list(self.boundaries)
         if bnds:
             bnds[0] = SparseIntMatrix.zero(0, self.sizes[1])
-        basis = (BasisInfo("empty", 0, 0),) + self.basis[1:]
-        return replace(self, sizes=sizes, boundaries=tuple(bnds), basis=basis, reduced=True)
+        return replace(self, sizes=sizes, boundaries=tuple(bnds), reduced=True)
 
     def __repr__(self):
         return f"ComplexSlice({self.name}, sizes={list(self.sizes)}, modulus={self.modulus})"
 
 
-def _finish_slice(name, kind, max_degree, sizes, boundaries, basis,
-                  modulus=0, reduced=False) -> ComplexSlice:
+def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0,
+                  reduced=False) -> ComplexSlice:
     sizes = tuple(sizes)
     boundaries = tuple(boundaries)
     if len(sizes) != max_degree + 1 or len(boundaries) != max_degree:
@@ -214,8 +188,7 @@ def _finish_slice(name, kind, max_degree, sizes, boundaries, basis,
             prod = prod.to_mod(modulus)
         if not prod.is_zero():
             raise InternalCheckError(f"d_{n - 1} . d_{n} != 0 in {name}")
-    return ComplexSlice(name, kind, max_degree, sizes, boundaries, tuple(basis),
-                        modulus, reduced)
+    return ComplexSlice(name, kind, max_degree, sizes, boundaries, modulus, reduced)
 
 
 @dataclass(frozen=True)
@@ -376,12 +349,11 @@ def bar_complex(g: FiniteGroup, max_degree: int,
     order = g.order
     sizes = [order ** n for n in range(max_degree + 1)]
     boundaries = []
-    basis = [BasisInfo("tuples", n, sizes[n], order) for n in range(max_degree + 1)]
     for n in range(1, max_degree + 1):
         faces = _face_tables(g, n)
         columns = [_face_sum(faces, col) for col in range(sizes[n])]
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
-    return _finish_slice(f"bar({g.name})", "bar", max_degree, sizes, boundaries, basis)
+    return _finish_slice(f"bar({g.name})", "bar", max_degree, sizes, boundaries)
 
 
 def _expand_orbit_boundary(action: GroupAction, n: int, rep: int) -> dict[int, int]:
@@ -420,9 +392,6 @@ def invariant_complex(action: GroupAction, max_degree: int,
     """Subcomplex of Q-invariant chains, basis = orbit sums."""
     data = [tuple_orbits(action, n) for n in range(max_degree + 1)]
     sizes = [d.count for d in data]
-    basis = [BasisInfo("orbits", n, sizes[n], action.g.order,
-                       data[n].reps, data[n].stab_orders)
-             for n in range(max_degree + 1)]
     boundaries = []
     for n in range(1, max_degree + 1):
         faces = _face_tables(action.g, n)
@@ -435,7 +404,7 @@ def invariant_complex(action: GroupAction, max_degree: int,
             columns.append(_orbit_coords(acc, data[n - 1], "invariant complex"))
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"invariant({action.q.name} on {action.g.name})", "invariant",
-                         max_degree, sizes, boundaries, basis)
+                         max_degree, sizes, boundaries)
 
 
 @_memoized
@@ -444,9 +413,6 @@ def coinvariant_complex(action: GroupAction, max_degree: int,
     """Chains of the orbit space: basis = orbits, boundary via representatives."""
     data = [tuple_orbits(action, n) for n in range(max_degree + 1)]
     sizes = [d.count for d in data]
-    basis = [BasisInfo("orbits", n, sizes[n], action.g.order, data[n].reps,
-                       data[n].stab_orders)
-             for n in range(max_degree + 1)]
     boundaries = []
     for n in range(1, max_degree + 1):
         faces = _face_tables(action.g, n)
@@ -455,7 +421,7 @@ def coinvariant_complex(action: GroupAction, max_degree: int,
                    for rep in data[n].reps]
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"coinvariant({action.q.name} on {action.g.name})", "coinvariant",
-                         max_degree, sizes, boundaries, basis)
+                         max_degree, sizes, boundaries)
 
 
 def norm_chain_map(action: GroupAction, max_degree: int,
@@ -504,20 +470,14 @@ def quotient_complex_D(action: GroupAction, max_degree: int,
     p = _uniform_stabilizer(action, max_degree)
     if p == 0:
         sizes = [0] * (max_degree + 1)
-        basis = [BasisInfo("empty", n, 0) for n in range(max_degree + 1)]
         bnds = [SparseIntMatrix.zero(0, 0) for _ in range(max_degree)]
         return _finish_slice(f"norm-cokernel({action.g.name})", "quotient", max_degree,
-                             sizes, bnds, basis, modulus=0, reduced=True)
+                             sizes, bnds, modulus=0, reduced=True)
     keep: list[list[int]] = [[]]  # degree 0 is zero
     for n in range(1, max_degree + 1):
         data = tuple_orbits(action, n)
         keep.append([j for j, s in enumerate(data.stab_orders) if s == p])
     sizes = [len(k) for k in keep]
-    basis = []
-    for n in range(max_degree + 1):
-        data = tuple_orbits(action, n)
-        reps = tuple(data.reps[j] for j in keep[n])
-        basis.append(BasisInfo("fixed-orbits", n, sizes[n], action.g.order, reps))
     boundaries = []
     for n in range(1, max_degree + 1):
         pos_of = {j: i for i, j in enumerate(keep[n - 1])}
@@ -526,7 +486,7 @@ def quotient_complex_D(action: GroupAction, max_degree: int,
                    for j in keep[n]]
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"norm-cokernel({action.q.name} on {action.g.name})", "quotient",
-                         max_degree, sizes, boundaries, basis, modulus=p, reduced=True)
+                         max_degree, sizes, boundaries, modulus=p, reduced=True)
 
 
 def quotient_chain_map(action: GroupAction, max_degree: int,
@@ -852,50 +812,4 @@ def s1_counterexample_complex() -> ComplexSlice:
     """Invariants of the circle-model resolution: 0 -> 0 -> Z (h_1 = 0)."""
     sizes = (1, 0, 0)
     boundaries = (SparseIntMatrix.zero(1, 0), SparseIntMatrix.zero(0, 0))
-    basis = (BasisInfo("point", 0, 1), BasisInfo("empty", 1, 0), BasisInfo("empty", 2, 0))
-    return _finish_slice("circle-model-invariants", "custom", 2, sizes, boundaries, basis)
-
-
-# ---------------------------------------------------------------------------
-# serialization (optional on-disk cache support)
-
-
-def slice_to_json(s: ComplexSlice) -> dict:
-    return {
-        "schema": 1,
-        "name": s.name,
-        "kind": s.kind,
-        "max_degree": s.max_degree,
-        "sizes": list(s.sizes),
-        "modulus": s.modulus,
-        "reduced": s.reduced,
-        "boundaries": [
-            {"rows": m.rows, "cols": m.cols,
-             "entries": sorted([r, c, v] for c, col in enumerate(m.columns)
-                               for r, v in col.items())}
-            for m in s.boundaries
-        ],
-        "basis": [
-            {"kind": b.kind, "degree": b.degree, "size": b.size,
-             "group_order": b.group_order, "reps": list(b.reps),
-             "stab_orders": list(b.stab_orders)}
-            for b in s.basis
-        ],
-    }
-
-
-def slice_from_json(data: dict) -> ComplexSlice:
-    if data.get("schema") != 1:
-        raise ValueError("unknown slice schema")
-    boundaries = [
-        SparseIntMatrix.from_entries(m["rows"], m["cols"], m["entries"])
-        for m in data["boundaries"]
-    ]
-    basis = [
-        BasisInfo(b["kind"], b["degree"], b["size"], b["group_order"],
-                  tuple(b["reps"]), tuple(b["stab_orders"]))
-        for b in data["basis"]
-    ]
-    return _finish_slice(data["name"], data["kind"], data["max_degree"],
-                         data["sizes"], boundaries, basis,
-                         modulus=data["modulus"], reduced=data["reduced"])
+    return _finish_slice("circle-model-invariants", "custom", 2, sizes, boundaries)

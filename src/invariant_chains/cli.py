@@ -15,25 +15,19 @@ and round-trips byte-identically through json.loads/json.dumps.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .chains import (_is_prime, bar_complex, burnside_orbit_count, coinvariant_complex,
                      estimate_build_bytes, fixed_inclusion_chain_map, invariant_complex,
-                     invariant_inclusion_chain_map, norm_chain_map, quotient_complex_D,
-                     slice_from_json, slice_to_json)
+                     invariant_inclusion_chain_map, norm_chain_map, quotient_complex_D)
 from .errors import BudgetExceededError, GroupConstructionError, SpecParseError
-from .groups import (FiniteGroup, GroupAction, Subgroup, fixed_subgroup, generated_subgroup,
+from .groups import (FiniteGroup, Subgroup, fixed_subgroup, generated_subgroup,
                      parse_action_spec, parse_group_spec, trivial_subgroup)
 from .homology import fixed_homology, homology, induced_map
 from .linalg import image_of_hom, kernel_of_hom
 from .theorems import REGISTRY
-
-CACHE_ENV = "INVARIANT_CHAINS_CACHE"
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -66,9 +60,12 @@ def _parse_budget(spec: str) -> int:
     elif spec.endswith("K"):
         mult, spec = 1024, spec[:-1]
     try:
-        return int(spec) * mult
+        budget = int(spec) * mult
     except ValueError:
         raise SpecParseError(f"bad memory budget {spec!r}") from None
+    if budget < 1:
+        raise SpecParseError(f"memory budget must be at least 1 byte, got {budget}")
+    return budget
 
 
 def _parse_subgroup(spec: str, g: FiniteGroup) -> Subgroup:
@@ -114,47 +111,6 @@ def _render_homology_table(payload: dict) -> None:
                   f"|image| {entry['image_order']}")
 
 
-class _SliceCache:
-    """Optional on-disk JSON cache of built complexes.
-
-    An entry is keyed by what the complex is built from: the builder kind,
-    the group's multiplication table, the action's permutation tables, the
-    degree and the package version, never by the spec strings that named
-    them.  Entries are written to a temporary file and moved into place.
-    """
-
-    def __init__(self, directory: str | None):
-        self.dir = Path(directory) if directory else None
-        if self.dir:
-            self.dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, kind: str, g: FiniteGroup, action: GroupAction | None, n: int) -> Path:
-        key = json.dumps([kind, __version__, g.mul_table,
-                          action.perm if action is not None else None, n])
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return self.dir / f"slice-{digest}.json"
-
-    def get_or_build(self, kind: str, g: FiniteGroup, action: GroupAction | None,
-                     n: int, builder):
-        if not self.dir:
-            return builder()
-        path = self._path(kind, g, action, n)
-        if path.exists():
-            try:
-                return slice_from_json(json.loads(path.read_text()))
-            except Exception:
-                path.unlink(missing_ok=True)
-        built = builder()
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(json.dumps(slice_to_json(built), sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        return built
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invariant-chains",
@@ -170,8 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, default=4,
                        help="highest homology degree to compute (default 4)")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--cache-dir", default=os.environ.get(CACHE_ENV),
-                       help=f"slice cache directory (env {CACHE_ENV})")
         p.add_argument("--memory-budget", default="2G",
                        help="memory budget of the group table and the builders, "
                             "e.g. 512M or 2G (default 2G)")
@@ -214,14 +168,7 @@ def cmd_compute(args) -> int:
     g = parse_group_spec(args.group, budget)
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1
-    if args.maps:
-        # the chain maps below are built on the in-memory complex, and
-        # induced_map needs the profile of that same object
-        inv = invariant_complex(action, n_build, memory_budget=budget)
-    else:
-        inv = _SliceCache(args.cache_dir).get_or_build(
-            "invariant", g, action, n_build,
-            lambda: invariant_complex(action, n_build, memory_budget=budget))
+    inv = invariant_complex(action, n_build, memory_budget=budget)
     prof = homology(inv, coeff)
     payload = {
         "schema": 1,
@@ -275,8 +222,7 @@ def cmd_classical(args) -> int:
     coeff = _parse_coeff(args.coeff)
     g = parse_group_spec(args.group, budget)
     n_build = args.max_degree + 1
-    bar = _SliceCache(args.cache_dir).get_or_build(
-        "bar", g, None, n_build, lambda: bar_complex(g, n_build, memory_budget=budget))
+    bar = bar_complex(g, n_build, memory_budget=budget)
     prof = homology(bar, coeff)
     payload = {
         "schema": 1,

@@ -107,11 +107,9 @@ class SparseIntMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "SparseIntMatrix":
-        """The matrix with the given entries, a {(r, c): v} dict or (r, c, v) triples."""
-        items = entries.items() if isinstance(entries, dict) else (
-            ((r, c), v) for r, c, v in entries)
+        """The matrix with the given entries, a {(r, c): v} dict."""
         columns: list[dict[int, int]] = [{} for _ in range(cols)]
-        for (r, c), v in items:
+        for (r, c), v in entries.items():
             if not 0 <= c < cols:
                 raise ValueError(f"entry index {(r, c)} out of range for {rows}x{cols}")
             columns[c][r] = v

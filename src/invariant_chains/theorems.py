@@ -8,6 +8,7 @@ anything not computed is simply absent from the report.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -256,7 +257,14 @@ def suite_n_0_mod_4(s: int, max_degree: int = 5) -> VerificationReport:
 @_timed
 def suite_structure(action: GroupAction, max_degree: int = 4,
                     invertible_coeff: int | None = None) -> VerificationReport:
-    """Structural laws of the invariant complex for one action."""
+    """Structural laws of the invariant complex for one action.
+
+    The Z/a claims hold only where |Q| is invertible in Z/a, so any other
+    invertible_coeff is rejected before anything is built.
+    """
+    if invertible_coeff is not None and math.gcd(invertible_coeff, action.q.order) != 1:
+        raise SpecParseError(f"|Q| = {action.q.order} is not invertible in "
+                             f"Z/{invertible_coeff}")
     report = VerificationReport(
         f"structure({action.q.name} on {action.g.name}, max_degree={max_degree})")
     n_build = max_degree + 1

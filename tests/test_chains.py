@@ -1,7 +1,6 @@
-"""Bar complexes, orbit complexes, norm/quotient, serialization, budgets."""
+"""Bar complexes, orbit complexes, norm/quotient, budgets."""
 
 import importlib
-import json
 import pkgutil
 import random
 
@@ -17,8 +16,7 @@ from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boun
                                      invariant_inclusion_chain_map,
                                      invariant_ses, norm_chain_map, orbit_members,
                                      quotient_chain_map, quotient_complex_D,
-                                     s1_counterexample_complex, slice_from_json,
-                                     slice_to_json, subgroup_bar_inclusion,
+                                     s1_counterexample_complex, subgroup_bar_inclusion,
                                      subgroup_invariant_inclusion, tuple_orbits)
 from invariant_chains.errors import BudgetExceededError, GroupConstructionError
 from invariant_chains.groups import (_validate_group, action_from_permutations,
@@ -356,22 +354,6 @@ def test_index_tables_agree_with_the_tuple_path(make):
             assert [list(col.items()) for col in d.columns] == [list(col.items()) for col in cols]
 
 
-def test_slice_serialization_round_trip():
-    act = negation_action(4)
-    for slice_ in (invariant_complex(act, 3), quotient_complex_D(act, 3),
-                   bar_complex(make_cyclic(3), 2)):
-        data = json.loads(json.dumps(slice_to_json(slice_)))
-        back = slice_from_json(data)
-        assert back.sizes == slice_.sizes
-        assert back.boundaries == slice_.boundaries
-        assert back.modulus == slice_.modulus
-        assert back.basis == slice_.basis
-
-
 def test_orbit_members_and_labels():
     act = negation_action(5)
     assert orbit_members(act, 1, 1) == [1, 4]
-    inv = invariant_complex(act, 2)
-    assert inv.basis[1].label(0) == "orbit[0]"
-    bc = bar_complex(make_cyclic(3), 2)
-    assert bc.basis[2].label(encode_tuple(3, (1, 2))) == "[1|2]"

@@ -1,4 +1,4 @@
-"""Command-line interface: output schema, round-trips, exit codes, cache."""
+"""Command-line interface: output schema, round-trips, exit codes."""
 
 import json
 import os
@@ -142,7 +142,12 @@ def test_bad_specs_exit_2(capsys):
                  ["verify", "n_0_mod_4", "--s", "1"],
                  ["verify", "integer_line", "--bound", "3"],
                  *(["verify", "structure", "--group", "cyclic:4", "--coeff-a", a,
-                    "--max-degree", "2"] for a in ("4", "0", "1", "-3"))):
+                    "--max-degree", "2"] for a in ("4", "0", "1", "-3")),
+                 # Z/2 does not invert |Q| = 2, so the structure claims do not apply
+                 ["verify", "structure", "--group", "cyclic:4", "--coeff-a", "2",
+                  "--max-degree", "3"],
+                 ["compute", "--group", "cyclic:4", "--memory-budget=0"],
+                 ["compute", "--group", "cyclic:4", "--memory-budget=-1G"]):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
@@ -169,46 +174,21 @@ def test_maps_rejects_field_coefficients_before_building(capsys):
     assert "--maps is supported for integral coefficients" in capsys.readouterr().err
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    args = ["compute", "--group", "cyclic:4", "--action", "negation",
-            "--max-degree", "2", "--cache-dir", str(tmp_path)]
-    code, first = run_json(capsys, args)
-    assert code == 0
-    cached = list(tmp_path.glob("slice-*.json"))
-    assert cached
-    code, second = run_json(capsys, args)
-    assert second == first
-    # a corrupt cache entry is ignored, not fatal
-    cached[0].write_text("{broken")
-    code, third = run_json(capsys, args)
-    assert code == 0 and third == first
-
-
-def test_maps_with_warm_cache(tmp_path, capsys):
-    args = ["compute", "--group", "cyclic:4", "--action", "negation",
-            "--max-degree", "3", "--maps", "--cache-dir", str(tmp_path),
-            "--format", "json"]
-    code, first = run_cli(capsys, args)
-    assert code == 0
-    code, second = run_cli(capsys, args)
-    assert code == 0 and second == first
-
-
 def test_cache_is_keyed_by_content(tmp_path, capsys):
     perm_file = tmp_path / "action.json"
     args = ["compute", "--group", "cyclic:5", "--action", f"perm:{perm_file}",
             "--max-degree", "2"]
-    cached = args + ["--cache-dir", str(tmp_path / "cache")]
     perm_file.write_text("[[0,1,2,3,4],[0,4,3,2,1]]")
-    code, negation = run_json(capsys, cached)
+    code, negation = run_json(capsys, args)
     assert code == 0 and negation["homology"][1]["torsion"] == []
-    # same spec string, different action: the cached complex must not be reused
+    # same spec string, different action: the memoized complex must not be reused
     perm_file.write_text("[[0,1,2,3,4]]")
-    code, trivial = run_json(capsys, cached)
-    assert code == 0
-    assert trivial == run_json(capsys, args)[1]
-    assert trivial["homology"][1]["torsion"] == [5]
-    assert not list((tmp_path / "cache").glob("*.tmp"))
+    code, trivial = run_json(capsys, args)
+    assert code == 0 and trivial["homology"][1]["torsion"] == [5]
+    code, spec = run_json(capsys, ["compute", "--group", "cyclic:5", "--action", "trivial",
+                                   "--max-degree", "2"])
+    assert code == 0 and trivial["homology"] == spec["homology"]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_console_script_entry_point():

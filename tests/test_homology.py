@@ -243,7 +243,7 @@ def test_boundary_that_is_not_a_cycle_is_caught():
     # refuse it in both rings
     d1 = SparseIntMatrix.from_dense([[1, 0]])
     d2 = SparseIntMatrix.from_dense([[1], [0]])
-    slc = ComplexSlice("broken", "test", 2, (1, 2, 1), (d1, d2), ())
+    slc = ComplexSlice("broken", "test", 2, (1, 2, 1), (d1, d2))
     for coeff in (0, 2):
         prof = HomologyProfile(slc, coeff)
         with pytest.raises(InternalCheckError, match="boundary column is not a cycle"):

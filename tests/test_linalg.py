@@ -606,7 +606,6 @@ def test_column_matrix_operations(data):
 def test_from_entries_inverts_json_triples(m):
     triples = json.loads(json.dumps(sorted(
         [r, c, v] for c, col in enumerate(m.columns) for r, v in col.items())))
-    assert SparseIntMatrix.from_entries(m.rows, m.cols, triples) == m
     assert SparseIntMatrix.from_entries(m.rows, m.cols, {(r, c): v for r, c, v in triples}) == m
     assert m.nnz == len(triples)
 
