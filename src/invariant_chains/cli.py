@@ -51,16 +51,16 @@ def _parse_coeff(spec: str) -> int:
 
 
 def _parse_budget(spec: str) -> int:
-    spec = spec.strip().upper()
+    digits = spec.strip().upper()
     mult = 1
-    if spec.endswith("G"):
-        mult, spec = 1024 ** 3, spec[:-1]
-    elif spec.endswith("M"):
-        mult, spec = 1024 ** 2, spec[:-1]
-    elif spec.endswith("K"):
-        mult, spec = 1024, spec[:-1]
+    if digits.endswith("G"):
+        mult, digits = 1024 ** 3, digits[:-1]
+    elif digits.endswith("M"):
+        mult, digits = 1024 ** 2, digits[:-1]
+    elif digits.endswith("K"):
+        mult, digits = 1024, digits[:-1]
     try:
-        budget = int(spec) * mult
+        budget = int(digits) * mult
     except ValueError:
         raise SpecParseError(f"bad memory budget {spec!r}") from None
     if budget < 1:

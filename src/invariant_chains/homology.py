@@ -9,10 +9,14 @@ on the integral profile is used.  For prime coefficients both routes run
 and must agree.
 
 Each boundary matrix is eliminated once per ring: its invariant factors
-over Z, or its rank over Z/p.  The memo of `chains` keeps that result with
-the matrix, so slices that share a boundary object (the reduced copies of
-`invariant_ses`) share its elimination, and it keeps each profile, keyed by
-the slice object and the coefficients, until `chains.clear_caches()`.
+over Z, or its rank over Z/p.  A profile eliminates d_1, d_2, ... in order,
+and d_{n+1} skips the rows that d_n cleared in the same ring (see
+`linalg`), so the field pass stays independent of the integral one.  The
+result does not depend on the rows skipped, so the memo of `chains` keeps
+it with the matrix and its cleared columns, and slices that share a
+boundary object (the reduced copies of `invariant_ses`) share its
+elimination.  The memo keeps each profile, keyed by the slice object and
+the coefficients, until `chains.clear_caches()`.
 
 Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
 in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
@@ -80,10 +84,13 @@ class HomologyProfile:
             self._integral = homology(slice_, COEFF_Z)
 
         # per boundary, d_0 = 0 first, then d_1..d_max: the invariant
-        # factors over Z, the rank over Z/p
+        # factors over Z, the rank over Z/p; d_n skips the rows d_{n-1} cleared
         if self.mode in ("int", "field"):
-            self._boundary_data = (() if self.mode == "int" else 0,) + tuple(
-                _eliminated(d, self.coeff) for d in slice_.boundaries)
+            data, cleared = [() if self.mode == "int" else 0], ()
+            for d in slice_.boundaries:
+                result, cleared = _eliminated(d, self.coeff, cleared)
+                data.append(result)
+            self._boundary_data = tuple(data)
         self._groups = {n: self._compute_group(n) for n in range(self.top_degree + 1)}
         if self.mode == "field" and self._integral is not None:
             for n in range(self.top_degree + 1):
@@ -190,12 +197,19 @@ class HomologyProfile:
         return f"HomologyProfile({self.slice.name}; {self.coeff_str}; {parts})"
 
 
-def _eliminated(d: SparseIntMatrix, mod: int):
-    """Invariant factors (mod 0) or rank over Z/mod of d, once per matrix object."""
+def _eliminated(d: SparseIntMatrix, mod: int, skip_rows: Sequence[int]):
+    """Invariant factors (mod 0) or rank over Z/mod of d, and its cleared columns.
+
+    Computed once per matrix object: the result does not depend on
+    `skip_rows`, which must be cleared columns of the boundary before d.
+    """
     key = ("eliminated", id(d), mod)
     if key not in _memo:  # the entry holds d, so its id is not reused while it lives
-        _memo[key] = (d, rank_mod_p(d, mod) if mod else invariant_factors(d))
-    return _memo[key][1]
+        cleared: list[int] = []
+        result = (rank_mod_p(d, mod, skip_rows=skip_rows, cleared=cleared) if mod
+                  else invariant_factors(d, skip_rows=skip_rows, cleared=cleared))
+        _memo[key] = (d, result, cleared)
+    return _memo[key][1:]
 
 
 def homology(slice_: ComplexSlice, coefficients: int = COEFF_Z) -> HomologyProfile:

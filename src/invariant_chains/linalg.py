@@ -38,6 +38,24 @@ operation on V and V^-1 alone.
 There is one sparse format: a `SparseIntMatrix` keeps one {row: value} dict
 per column, as a column-kept `_Lines` does.  So V, U^-1 and kernel bases
 become matrices without a copy; U and V^-1, kept by rows, are transposed once.
+
+Clearing.  A transform-free elimination of d_n reports `cleared`, a set A of
+its columns, and the elimination of d_{n+1} may take A as `skip_rows`: those
+rows are never loaded, and its invariant factors (over Z) or rank (over Z/p)
+stay the same.  Over Z/p, A is every pivot column; over Z it is the columns
+of the leading pivots that were +-1 when chosen, up to the first that was
+not, because until then every operation adds a multiple of one line to
+another or negates a row.  Precondition: d_n * d_{n+1} = 0 in the ring,
+which `chains._finish_slice` checks for every built slice.  Proof: d_n[:, A]
+has a left inverse L in the ring.  Over Z/p its columns are independent;
+over Z the unit-pivot prefix turns it into a signed partial permutation by
+unimodular row operations and unit-triangular column operations.  L reads
+only the rows the elimination of d_n loaded, so this holds when d_n skipped
+rows itself.  With B the other rows of d_{n+1}, d_n * d_{n+1} = 0 gives
+d_{n+1}[A, :] = -L * d_n[:, B] * d_{n+1}[B, :], so rows A are combinations
+of rows B: a unimodular row operation makes them zero, which changes no
+invariant factor and no rank.  Past a non-unit pivot, gcd steps mix a pivot
+column with others, and a later unit pivot need not give such an L.
 """
 
 from __future__ import annotations
@@ -411,10 +429,18 @@ class _SnfEngine:
     in `_done`.  After the last pivot the lines of U and U^-1 are put in row
     order and those of V and V^-1 in column order: the pivot lines in pivot
     order, then the other lines by ascending index.
+
+    A transform-free run may leave out `skip_rows` (never loaded; the other
+    rows keep their indices), and `cleared` lists the columns whose rows the
+    next boundary may skip: see "Clearing" in the module docstring.
     """
 
     def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
-                 want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False):
+                 want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False,
+                 skip_rows: Iterable[int] = ()):
+        skip = set(skip_rows)
+        if skip and (want_u or want_v or want_u_inv or want_v_inv):
+            raise ValueError("rows can be skipped only without transforms")
         self.m = m
         self.mod = mod
         ws = self.ws = _IndexedLines(m.rows, mod)
@@ -422,7 +448,7 @@ class _SnfEngine:
             for r, v in col.items():
                 if mod:
                     v %= mod
-                if v:
+                if v and r not in skip:
                     ws.lines[r][c] = v
                     ws.cross[c].add(r)
         # U and V^-1 are kept by rows, U^-1 and V by columns
@@ -431,6 +457,7 @@ class _SnfEngine:
         self.v = _Lines.identity(m.cols, mod) if want_v else None
         self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
+        self.cleared: list[int] = []
         self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
         self._done = [False] * m.cols
         # pivot queue: a heap of keys count * cols + c, each checked against
@@ -554,9 +581,13 @@ class _SnfEngine:
     def _run(self):
         ws = self.ws
         pivots = []
+        units = True  # every pivot so far was a unit when chosen
         while (picked := self._choose_pivot()) is not None:
             r0, c0 = picked
             self._done[c0] = True
+            units = units and (self.mod > 0 or abs(ws.lines[r0][c0]) == 1)
+            if units:
+                self.cleared.append(c0)
             while True:
                 self._clear_position(r0, c0)
                 if self.mod:
@@ -660,14 +691,28 @@ def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
                      eng.v.to_matrix(m.cols, m.cols, by_rows=False))
 
 
-def invariant_factors(m: SparseIntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form, computed without transform bookkeeping."""
-    return tuple(_SnfEngine(m).diag)
+def invariant_factors(m: SparseIntMatrix, *, skip_rows: Iterable[int] = (),
+                      cleared: list[int] | None = None) -> tuple[int, ...]:
+    """Diagonal of the Smith form, computed without transform bookkeeping.
+
+    The rows in `skip_rows` are left out; `cleared`, if given, is extended
+    by the columns whose rows the next boundary may skip.
+    """
+    eng = _SnfEngine(m, skip_rows=skip_rows)
+    if cleared is not None:
+        cleared.extend(eng.cleared)
+    return tuple(eng.diag)
 
 
-def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    """Rank over Z/p, p prime, by eliminating m mod p without transforms."""
-    return len(_SnfEngine(m, p).diag)
+def rank_mod_p(m: SparseIntMatrix, p: int, *, skip_rows: Iterable[int] = (),
+               cleared: list[int] | None = None) -> int:
+    """Rank over Z/p, p prime, by eliminating m mod p without transforms.
+
+    `skip_rows` and `cleared` act as in `invariant_factors`."""
+    eng = _SnfEngine(m, p, skip_rows=skip_rows)
+    if cleared is not None:
+        cleared.extend(eng.cleared)
+    return len(eng.diag)
 
 
 # ---------------------------------------------------------------------------

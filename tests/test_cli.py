@@ -153,6 +153,12 @@ def test_bad_specs_exit_2(capsys):
         assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
+def test_bad_budget_is_named_as_typed(capsys):
+    for typed in ("1.5g", " 2 gb"):
+        assert cli.main(["compute", "--group", "cyclic:4", f"--memory-budget={typed}"]) == 2
+        assert capsys.readouterr().err == f"error: bad memory budget {typed!r}\n"
+
+
 def test_budget_exceeded_exits_3(capsys):
     # the multiplication tables of the two huge groups alone would need
     # petabytes, so their budget check must come before the table is built
@@ -191,18 +197,28 @@ def test_cache_is_keyed_by_content(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
-def test_console_script_entry_point():
+def run_module(module, argv):
     # the child imports the package from where this process found it,
     # installed or not
     here = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, (here, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "invariant_chains.cli", "classical", "--group",
-         "cyclic:2", "--max-degree", "2", "--format", "json"],
-        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_entry_point():
+    proc = run_module("invariant_chains.cli", ["classical", "--group", "cyclic:2",
+                                               "--max-degree", "2", "--format", "json"])
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["homology"][1]["torsion"] == [2]
+
+
+def test_package_runs_as_a_module(capsys):
+    argv = ["info", "--group", "cyclic:4", "--max-degree", "2", "--format", "json"]
+    code, out = run_cli(capsys, argv)
+    proc = run_module("invariant_chains", argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 def test_table_rendering_smoke(capsys):

@@ -255,9 +255,9 @@ def test_uct_crosscheck_reads_the_field_profiles(monkeypatch):
     real = homology_module.rank_mod_p
     calls = []
 
-    def counting(m, p):
+    def counting(m, p, **kwargs):
         calls.append((p, id(m)))
-        return real(m, p)
+        return real(m, p, **kwargs)
 
     monkeypatch.setattr(homology_module, "rank_mod_p", counting)
     clear_caches()
@@ -271,7 +271,8 @@ def test_uct_crosscheck_reads_the_field_profiles(monkeypatch):
         uct_crosscheck(inv, primes=(2, 4))
 
     # a wrong field rank fails inside the profile, against universal coefficients
-    monkeypatch.setattr(homology_module, "rank_mod_p", lambda m, p: real(m, p) + 1)
+    monkeypatch.setattr(homology_module, "rank_mod_p",
+                        lambda m, p, **kwargs: real(m, p, **kwargs) + 1)
     clear_caches()
     with pytest.raises(InternalCheckError):
         uct_crosscheck(invariant_complex(negation_action(4), 4), primes=(2,))
@@ -285,9 +286,9 @@ def test_profiles_eliminate_each_boundary_once(monkeypatch):
     def counting(name):
         real = getattr(homology_module, name)
 
-        def wrapper(m, *args):
+        def wrapper(m, *args, **kwargs):
             calls.append((name, m))
-            return real(m, *args)
+            return real(m, *args, **kwargs)
         return wrapper
 
     for name in ("invariant_factors", "rank_mod_p"):

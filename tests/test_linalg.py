@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from invariant_chains import linalg
-from invariant_chains.chains import invariant_complex, invariant_ses
+from invariant_chains.chains import (bar_complex, clear_caches, coinvariant_complex,
+                                     invariant_complex, invariant_ses)
 from invariant_chains.groups import inversion_action, make_cyclic, negation_action
-from invariant_chains.homology import exactness_check, invariant_les
+from invariant_chains.homology import exactness_check, homology, invariant_les
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
                                      SparseIntMatrix, _Lines, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
@@ -479,6 +480,106 @@ def test_field_echelon_and_ranks():
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
             assert rank_mod_p(m, p) == sympy.Matrix(m.to_dense()).rank(
                 iszerofunc=lambda x: x % p == 0)
+
+
+# ---------------------------------------------------------------------------
+# clearing: a boundary skips the rows its predecessor's cleared columns name
+
+
+def chained_eliminations(boundaries, mod):
+    """Each boundary's invariant factors (mod 0) or rank mod p, skipping cleared rows."""
+    out, cleared = [], []
+    for d in boundaries:
+        skip, cleared = cleared, []
+        out.append(rank_mod_p(d, mod, skip_rows=skip, cleared=cleared) if mod
+                   else invariant_factors(d, skip_rows=skip, cleared=cleared))
+    return out
+
+
+def uncleared_eliminations(boundaries, mod):
+    return [rank_mod_p(d, mod) if mod else invariant_factors(d) for d in boundaries]
+
+
+@st.composite
+def unimodular_pairs(draw, n):
+    """(P, P^-1) for a random product of row swaps and row additions, dense."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(-2, 2))
+        if k == 0:
+            # E swaps rows i and j: P <- E*P, P^-1 <- P^-1*E
+            p[i], p[j] = p[j], p[i]
+            for row in p_inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            # E adds k * row j to row i: P <- E*P, P^-1 <- P^-1*E^-1
+            p[i] = [a + k * b for a, b in zip(p[i], p[j])]
+            for row in p_inv:
+                row[j] -= k * row[i]
+    return dense(p), dense(p_inv)
+
+
+@st.composite
+def z_complexes(draw):
+    """d_1, d_2, d_3 of a sum of pieces Z --k--> Z and free Z, in random bases.
+
+    A piece `k` at degree n maps its generator in degree n to k times its
+    generator in degree n - 1; the sum's boundaries are then conjugated,
+    d'_n = P_{n-1} * d_n * P_n^-1 with P_n unimodular, which keeps d.d = 0.
+    """
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(st.just(0), st.integers(0, 3)),
+        st.tuples(st.sampled_from((1, -1, 2, -2, 3, 4, 6)), st.integers(1, 3))),
+        min_size=1, max_size=8))
+    basis: list[list[int]] = [[], [], [], []]  # per degree, the pieces with a generator there
+    for i, (k, n) in enumerate(pieces):
+        basis[n].append(i)
+        if k:
+            basis[n - 1].append(i)
+    ps = [draw(unimodular_pairs(len(b))) for b in basis]
+    out = []
+    for n in (1, 2, 3):
+        rows = {piece: r for r, piece in enumerate(basis[n - 1])}
+        d = SparseIntMatrix(len(basis[n - 1]), len(basis[n]), [
+            {rows[piece]: pieces[piece][0]} if pieces[piece][0] and pieces[piece][1] == n
+            else {} for piece in basis[n]])
+        out.append(ps[n - 1][0].mul(d).mul(ps[n][1]))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(z_complexes())
+def test_cleared_rows_keep_factors_and_ranks(boundaries):
+    assert all(a.mul(b).is_zero() for a, b in zip(boundaries, boundaries[1:]))
+    for mod in (0, 2, 3, 5):
+        assert chained_eliminations(boundaries, mod) == uncleared_eliminations(boundaries, mod)
+
+
+def test_cleared_stops_at_the_first_nonunit_pivot():
+    d1, d2 = dense([[2, 1]]), dense([[1], [-2]])
+    cleared = []
+    assert invariant_factors(d1, cleared=cleared) == (1,)
+    assert cleared == []  # the first pivot, (0, 0), is 2
+    assert invariant_factors(d2, skip_rows=cleared) == (1,)
+    assert invariant_factors(d2, skip_rows=[0]) == (2,)  # what skipping row 0 would give
+    for p in (2, 3):
+        assert chained_eliminations([d1, d2], p) == [1, 1]
+    with pytest.raises(ValueError, match="without transforms"):
+        _SnfEngine(d2, want_v=True, skip_rows=[0])
+
+
+def test_profiles_equal_uncleared_elimination_on_the_ladder():
+    # the seven complexes of the benchmark's ladder workloads
+    ladder = [invariant_complex(negation_action(n), deg)
+              for n, deg in ((3, 6), (5, 5), (6, 5), (4, 6), (8, 4))]
+    ladder += [coinvariant_complex(negation_action(4), 5), bar_complex(make_cyclic(5), 5)]
+    for slice_ in ladder:
+        clear_caches()
+        for mod in (0, 2, 3, 5):
+            data = homology(slice_, mod)._boundary_data[1:]
+            assert list(data) == uncleared_eliminations(slice_.boundaries, mod), (slice_, mod)
 
 
 def test_column_echelon_solve_sparse_interface():
