@@ -438,5 +438,8 @@ def parse_action_spec(spec: str, g: FiniteGroup) -> GroupAction:
             raise SpecParseError(f"bad JSON in permutation file: {exc}") from exc
         if not isinstance(data, list) or not all(isinstance(p, list) for p in data):
             raise SpecParseError("permutation file must hold a JSON list of permutations")
+        # bool is an int subclass, so compare types exactly
+        if any(type(x) is not int for p in data for x in p):
+            raise SpecParseError("permutation entries must be integers")
         return action_from_permutations(g, data)
     raise SpecParseError(f"unknown action spec {spec!r}")

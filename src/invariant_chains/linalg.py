@@ -15,16 +15,23 @@ and V^-1 its caller asks for.  Everything else is read off it:
     ambient relations, gives its presentation and membership; kernels and
     fixed points are the preimages of a relation lattice
 
-Pivoting is deterministic: structural (Markowitz-style minimal fill) with
-minimal-magnitude and lowest-index tie-breaks, so results are reproducible
-bit for bit.  The pivot column comes from a priority queue keyed by
-(nonzero count, column index), so it is the column with the fewest nonzero
-rows, ties to the lowest index; the queue is re-keyed only for the columns
-whose counts the elementary operations since the last pivot could change.
+Pivoting is deterministic, so results are reproducible bit for bit: the
+pivot column is the one with the fewest nonzeros, ties to the lowest index,
+and in it the pivot row is the shortest row, then the one of smallest
+magnitude, then the lowest index.  The column comes from a priority queue
+keyed by (nonzero count, column index), re-keyed only for the columns whose
+counts the elementary operations since the last pivot could change.
 Each pivot is eliminated where the queue finds it: no row or column is ever
 moved.  The engine keeps the pivot sequence instead, and orders the lines of
 the transforms once at the end, pivot lines first in pivot order, so that
 D's entries sit at (i, i).
+
+The elementary operations are the textbook elementary matrices:
+transvections (add k times one line to another) and sign changes.  Over Z a
+pivot a that does not divide an entry b of its row or column takes a gcd
+step, one run of extended Euclid on the two lines through a and b; see
+`_SnfEngine._gcd_step`.  Over Z/p every nonzero pivot is a unit, so gcd
+steps happen only over Z.
 
 Only the working matrix carries a cross index (for each column, the set of
 rows with an entry there): its column operations reach rows through it, and
@@ -44,11 +51,13 @@ its columns, and the elimination of d_{n+1} may take A as `skip_rows`: those
 rows are never loaded, and its invariant factors (over Z) or rank (over Z/p)
 stay the same.  Over Z/p, A is every pivot column; over Z it is the columns
 of the leading pivots that were +-1 when chosen, up to the first that was
-not, because until then every operation adds a multiple of one line to
-another or negates a row.  Precondition: d_n * d_{n+1} = 0 in the ring,
-which `chains._finish_slice` checks for every built slice.  Proof: d_n[:, A]
-has a left inverse L in the ring.  Over Z/p its columns are independent;
-over Z the unit-pivot prefix turns it into a signed partial permutation by
+not, because until then no gcd step happens: each row operation adds a
+multiple of the pivot row to another row or negates the pivot row, and each
+column operation adds a multiple of the pivot column to a column without a
+pivot.  Precondition: d_n * d_{n+1} = 0 in the ring, which
+`chains._finish_slice` checks for every built slice.  Proof: d_n[:, A] has a
+left inverse L in the ring.  Over Z/p its columns are independent; over Z
+the unit-pivot prefix turns it into a signed partial permutation by
 unimodular row operations and unit-triangular column operations.  L reads
 only the rows the elimination of d_n loaded, so this holds when d_n skipped
 rows itself.  With B the other rows of d_{n+1}, d_n * d_{n+1} = 0 gives
@@ -67,18 +76,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 Vector = Sequence[int]
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 # ---------------------------------------------------------------------------
@@ -284,30 +281,6 @@ class _Lines:
             elif j in ld:
                 del ld[j]
 
-    def combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        # (line[i], line[j]) <- (x*line[i] + y*line[j], z*line[i] + w*line[j])
-        self._combine(i, j, x, y, z, w, self.lines[i].keys() | self.lines[j].keys())
-
-    def _combine(self, i, j, x, y, z, w, touched) -> None:
-        a, b = self.lines[i], self.lines[j]
-        mod = self.mod
-        na: dict[int, int] = {}
-        nb: dict[int, int] = {}
-        for c in touched:
-            va = a.get(c, 0)
-            vb = b.get(c, 0)
-            va2 = x * va + y * vb
-            vb2 = z * va + w * vb
-            if mod:
-                va2 %= mod
-                vb2 %= mod
-            if va2:
-                na[c] = va2
-            if vb2:
-                nb[c] = vb2
-        self.lines[i] = na
-        self.lines[j] = nb
-
     def negate(self, i: int) -> None:
         line = self.lines[i]
         for c in line:
@@ -349,18 +322,6 @@ class _IndexedLines(_Lines):
                 del ld[j]
                 cross[j].discard(dst)
 
-    def combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        touched = self.lines[i].keys() | self.lines[j].keys()
-        self._combine(i, j, x, y, z, w, touched)
-        cross = self.cross
-        for c in touched:
-            cross[c].discard(i)
-            cross[c].discard(j)
-        for c in self.lines[i]:
-            cross[c].add(i)
-        for c in self.lines[j]:
-            cross[c].add(j)
-
     # cross operations ----------------------------------------------------
 
     def cross_axpy(self, src: int, dst: int, k: int) -> None:
@@ -382,26 +343,11 @@ class _IndexedLines(_Lines):
                 del line[dst]
                 cross[dst].discard(r)
 
-    def cross_combine(self, i: int, j: int, x: int, y: int, z: int, w: int) -> None:
-        cross = self.cross
-        mod = self.mod
-        for r in cross.get(i, set()) | cross.get(j, set()):
+    def cross_negate(self, j: int) -> None:
+        # position j = -position j, in every line
+        for r in self.cross.get(j, ()):
             line = self.lines[r]
-            va = line.get(i, 0)
-            vb = line.get(j, 0)
-            va2 = x * va + y * vb
-            vb2 = z * va + w * vb
-            if mod:
-                va2 %= mod
-                vb2 %= mod
-            for c, nv in ((i, va2), (j, vb2)):
-                if nv:
-                    if c not in line:
-                        cross[c].add(r)
-                    line[c] = nv
-                elif c in line:
-                    del line[c]
-                    cross[c].discard(r)
+            line[j] = -line[j]
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +430,6 @@ class _SnfEngine:
             # E = I + k e_dst e_src^T; U^-1 <- U^-1 E^-1: col src -= k * col dst
             self.u_inv.axpy(dst, src, -k)
 
-    def _row_combine(self, i, j, x, y, z, w):
-        # the 2x2 step is invertible, so each column it touches keeps an
-        # entry in row i or row j
-        self._rows_touched.update((i, j))
-        self.ws.combine(i, j, x, y, z, w)
-        if self.u is not None:
-            self.u.combine(i, j, x, y, z, w)
-        if self.u_inv is not None:
-            # E^-1 = [[w, -y], [-z, x]] for det(E) = 1
-            self.u_inv.combine(i, j, w, -z, -y, x)
-
     def _row_negate(self, i):
         self.ws.negate(i)
         if self.u is not None:
@@ -514,14 +449,36 @@ class _SnfEngine:
             # F = I + k e_src e_dst^T; V^-1 <- F^-1 V^-1: row src -= k * row dst
             self.v_inv.axpy(dst, src, -k)
 
-    def _col_combine(self, i, j, x, y, z, w):
-        self.ws.cross_combine(i, j, x, y, z, w)
-        self._rekey(i)
-        self._rekey(j)
+    def _col_negate(self, i):
+        self.ws.cross_negate(i)
         if self.v is not None:
-            self.v.combine(i, j, x, y, z, w)
+            self.v.negate(i)
         if self.v_inv is not None:
-            self.v_inv.combine(i, j, w, -z, -y, x)
+            self.v_inv.negate(i)
+
+    def _gcd_step(self, p, o, a, b, axpy, negate):
+        """Leave g = gcd(a, b) > 0 in line p, the pivot's, and 0 in line o.
+
+        a and b are the entries of p and o in the pivot's other line.  One
+        run of extended Euclid with floor quotients, starting by reducing p
+        by o, leaves +-g in one line and 0 in the other.  If it ended in o,
+        three transvections move it back to p; if it is -g, both lines change
+        sign.  The pair then ends as (x*p + y*o, -(b/g)*p + (a/g)*o), with
+        x*a + y*b = g the Bezout pair of this run: det = 1 fixes the sign of
+        the primitive vector (-b/g, a/g) that sends (a, b) to 0.
+        """
+        dst, src = p, o
+        while b:
+            axpy(src, dst, -(a // b))
+            a, b = b, a % b
+            dst, src = src, dst
+        if dst != p:
+            axpy(o, p, 1)
+            axpy(p, o, -1)
+            axpy(o, p, 1)
+        if a < 0:
+            negate(p)
+            negate(o)
 
     # pivot selection: structural fill estimate, then magnitude, then index
 
@@ -641,8 +598,7 @@ class _SnfEngine:
                 if q is not None:
                     self._row_axpy(r0, r, -q)
                 else:
-                    g, x, y = xgcd(a, b)
-                    self._row_combine(r0, r, x, y, -(b // g), a // g)
+                    self._gcd_step(r0, r, a, b, self._row_axpy, self._row_negate)
             # clear row r0 with col ops; a gcd step may refill column c0
             row = ws.lines[r0]
             for c in sorted(c for c in row if c != c0):
@@ -659,8 +615,7 @@ class _SnfEngine:
                 elif q is not None:
                     self._col_axpy(c0, c, -q)
                 else:
-                    g, x, y = xgcd(a, b)
-                    self._col_combine(c0, c, x, y, -(b // g), a // g)
+                    self._gcd_step(c0, c, a, b, self._col_axpy, self._col_negate)
             if ws.cross[c0] == {r0}:
                 return
 

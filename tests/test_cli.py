@@ -180,7 +180,7 @@ def test_maps_rejects_field_coefficients_before_building(capsys):
     assert "--maps is supported for integral coefficients" in capsys.readouterr().err
 
 
-def test_cache_is_keyed_by_content(tmp_path, capsys):
+def test_memo_is_keyed_by_action_content(tmp_path, capsys):
     perm_file = tmp_path / "action.json"
     args = ["compute", "--group", "cyclic:5", "--action", f"perm:{perm_file}",
             "--max-degree", "2"]

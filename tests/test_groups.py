@@ -177,6 +177,11 @@ def test_action_spec_grammar(tmp_path):
         parse_action_spec("spin", g)
     with pytest.raises(SpecParseError):
         parse_action_spec("perm:/nonexistent/file.json", g)
+    # entries that are not ints, floats and bools included
+    for bad in ([[0, 4.0, 3, 2, 1]], [[0, "x", 3, 2, 1]], [[0, True, 2, 3, 4]]):
+        pfile.write_text(json.dumps(bad))
+        with pytest.raises(SpecParseError, match="must be integers"):
+            parse_action_spec(f"perm:{pfile}", g)
 
 
 def test_inversion_action_requires_abelian():

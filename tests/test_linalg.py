@@ -22,7 +22,7 @@ from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
                                      fixed_points_of_hom_family, image_of_hom,
                                      invariant_factors, invariant_factors_from_orders,
                                      kernel_basis, kernel_of_hom, present_fg_abelian,
-                                     rank_mod_p, smith_normal_form, solve_in_lattice, xgcd)
+                                     rank_mod_p, smith_normal_form, solve_in_lattice)
 
 
 def dense(rows):
@@ -59,11 +59,48 @@ def transforms(eng, rows, cols):
             eng.v_inv.to_matrix(cols, cols, by_rows=True))
 
 
-def test_xgcd():
-    for a, b in [(12, 18), (-4, 6), (0, 5), (7, 0), (0, 0), (-3, -9)]:
-        g, x, y = xgcd(a, b)
-        assert x * a + y * b == g
-        assert g >= 0
+def extended_euclid(a, b):
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0, by floor quotients."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def test_gcd_step_is_the_extended_euclid_step():
+    small = [v for v in range(-12, 13) if v]
+    pairs = [(a, b) for a in small for b in small if b % a]
+    pairs += [(240, -46), (-987, 1597), (1234, 5678), (12345, -54321), (-99, -1000)]
+    checked = 0
+    for a, b in pairs:
+        g, x, y = extended_euclid(a, b)
+        assert x * a + y * b == g > 0
+        # the lines of the step and of its inverse, as the engine keeps them
+        step = [{i: v for i, v in enumerate(r) if v} for r in ([x, y], [-b // g, a // g])]
+        inverse = [{i: v for i, v in enumerate(c) if v} for c in ([a // g, b // g], [-y, x])]
+        # 1 x 2: column 0 is the pivot column, so a is the pivot; V and
+        # V^-1 are kept by columns and by rows, already in pivot-first order
+        eng = full_engine(_SnfEngine, dense([[a, b]]), 0)
+        assert eng.diag == [g]
+        assert eng.v.lines == step and eng.v_inv.lines == inverse
+        if abs(a) < abs(b):
+            # 2 x 1: the pivot is the entry of least magnitude; put it on
+            # either row and read U, U^-1 in pivot-first order
+            for piv in (0, 1):
+                col = [a, b] if piv == 0 else [b, a]
+                eng = full_engine(_SnfEngine, dense([[v] for v in col]), 0)
+                first = {piv: 0, 1 - piv: 1}
+                assert eng.diag == [g]
+                assert [{first[k]: v for k, v in line.items()} for line in eng.u.lines] == step
+                assert [{first[k]: v for k, v in line.items()}
+                        for line in eng.u_inv.lines] == inverse
+                checked += 1
+    assert checked > 100
 
 
 def test_snf_examples():
@@ -180,8 +217,7 @@ class _AxpyRowClearEngine(_SnfEngine):
                 if q is not None:
                     self._row_axpy(r0, r, -q)
                 else:
-                    g, x, y = xgcd(a, b)
-                    self._row_combine(r0, r, x, y, -(b // g), a // g)
+                    self._gcd_step(r0, r, a, b, self._row_axpy, self._row_negate)
             row = ws.lines[r0]
             for c in sorted(c for c in row if c != c0):
                 a = row[c0]
@@ -192,8 +228,7 @@ class _AxpyRowClearEngine(_SnfEngine):
                         self.refilled += 1
                     self._col_axpy(c0, c, -q)
                 else:
-                    g, x, y = xgcd(a, b)
-                    self._col_combine(c0, c, x, y, -(b // g), a // g)
+                    self._gcd_step(c0, c, a, b, self._col_axpy, self._col_negate)
             if ws.cross[c0] == {r0}:
                 return
 
@@ -704,7 +739,7 @@ def test_column_matrix_operations(data):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(matrices())
-def test_from_entries_inverts_json_triples(m):
+def test_from_entries_inverts_the_entry_dict(m):
     triples = json.loads(json.dumps(sorted(
         [r, c, v] for c, col in enumerate(m.columns) for r, v in col.items())))
     assert SparseIntMatrix.from_entries(m.rows, m.cols, {(r, c): v for r, c, v in triples}) == m
