@@ -8,11 +8,12 @@ inclusion and transfer maps.  Tuples are indexed in mixed radix with the
 leftmost entry most significant, so every basis is lexicographically
 ordered and every matrix is reproducible.
 
-Boundaries, orbits and chain maps are assembled from index tables, built
-per call and degree and then dropped: face tables give each tuple index's
-k-th face, action tables its image under each q.  `bar_boundary` and
-`_expand_orbit_boundary` work on tuples; they are the reference kept for the
-cross-checks.
+Every complex and chain map, the transfer included, is assembled from index
+tables, built per call and degree and then dropped: face tables give each
+tuple index's k-th face, action tables its image under each q, transfer
+tables its image in K under each coset representative.  The tuple functions
+(`bar_boundary`, `orbit_members`, `_expand_orbit_boundary` and the tuple
+codec) are only the reference for the tests and the divisible suite.
 
 One module-level memo holds what a process has computed: the five complex
 builders' results keyed by (builder, group or action, degree), orbit data,
@@ -25,6 +26,8 @@ part of the key.  `clear_caches()` empties the memo.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from array import array
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -32,7 +35,7 @@ from typing import Sequence
 from .errors import BudgetExceededError, EquivarianceError, GroupConstructionError, \
     InternalCheckError
 from .groups import DEFAULT_MEMORY_BUDGET, FiniteGroup, GroupAction, Subgroup, \
-    fixed_subgroup, is_q_stable, restrict_action
+    _coset_tables, fixed_subgroup, is_q_stable, restrict_action
 from .linalg import SparseIntMatrix
 
 BarTuple = tuple[int, ...]
@@ -581,21 +584,6 @@ def subgroup_bar_inclusion(g: FiniteGroup, k: Subgroup, max_degree: int,
 # transfer
 
 
-def _coset_tables(g: FiniteGroup, k: Subgroup) -> tuple[list[int], list[list[int]]]:
-    """(coset id per element, members per coset), cosets K*x in first-seen order."""
-    coset_of_elem = [-1] * g.order
-    cosets: list[list[int]] = []
-    for x in g.elements():
-        if coset_of_elem[x] >= 0:
-            continue
-        cid = len(cosets)
-        members = sorted(g.mul(a, x) for a in k.members)
-        for m in members:
-            coset_of_elem[m] = cid
-        cosets.append(members)
-    return coset_of_elem, cosets
-
-
 def _rep_table(g: FiniteGroup, k: Subgroup, e: Sequence[int]) -> list[int]:
     """bar(x) for every x in G, where bar(x) is the E-representative of K*x."""
     coset_of_elem, cosets = _coset_tables(g, k)
@@ -610,26 +598,20 @@ def _rep_table(g: FiniteGroup, k: Subgroup, e: Sequence[int]) -> list[int]:
     return [rep_of_coset[coset_of_elem[x]] for x in g.elements()]
 
 
-def transfer_tuple(g: FiniteGroup, k: Subgroup, e: Sequence[int],
-                   rep_of: Sequence[int], t: BarTuple) -> dict[BarTuple, int]:
-    """Image of one bar tuple under the coset-representative transfer.
+def _transfer_tables(step: list[list[tuple[int, int]]], k_order: int, n: int) -> list[array]:
+    """tables[s][i]: the K-tuple index that the summand of e[s] gives degree-n tuple i.
 
-    Each summand walks the prefixes x, x*g_1, ..., folding every step back
-    into K; the result is a K-tuple for each representative x in E.
+    step[s][h] = (local index in K of x*h*bar(x*h)^-1, position of bar(x*h)
+    in E) for x = e[s].  A tuple's K-index grows digit by digit while a
+    parallel state array holds the position in E of the representative reached.
     """
-    local = {p: i for i, p in enumerate(k.members)}
-    acc: dict[BarTuple, int] = {}
-    for x in e:
-        cur_bar = x  # bar(x) = x for x in E
-        entries = []
-        for gi in t:
-            moved = g.mul(cur_bar, gi)
-            nxt = rep_of[moved]
-            entries.append(local[g.mul(moved, g.inv(nxt))])
-            cur_bar = nxt
-        key = tuple(entries)
-        acc[key] = acc.get(key, 0) + 1
-    return acc
+    tables = [array("q", [0]) for _ in step]
+    states = [array("q", [s]) for s in range(len(step))]
+    for _ in range(n):
+        tables = [array("q", [t * k_order + ki for t, st in zip(tab, state) for ki, _ in step[st]])
+                  for tab, state in zip(tables, states)]
+        states = [array("q", [nxt for st in state for _, nxt in step[st]]) for state in states]
+    return tables
 
 
 def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree: int,
@@ -640,19 +622,21 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
     Without an action this is the classical wrong-way map bar(G) -> bar(K).
     With an action it is built on the invariant complexes and E must be
     compatible: the image of every orbit sum has to be constant on K-orbits,
-    otherwise EquivarianceError is raised.
+    otherwise EquivarianceError is raised.  Each summand x in E walks the
+    prefixes x, x*g_1, ..., folding every step back into K.
     """
     rep_of = _rep_table(g, k, e)
-    k_group = k.as_group()
-    k_order = k.order
+    pos = {x: s for s, x in enumerate(e)}
+    local = {p: i for i, p in enumerate(k.members)}
+    step = [[(local[g.mul(m, g.inv(rep_of[m]))], pos[rep_of[m]])
+             for m in (g.mul(x, h) for h in g.elements())] for x in e]
     if action is None:
         src = bar_complex(g, max_degree, memory_budget)
-        dst = bar_complex(k_group, max_degree, memory_budget)
+        dst = bar_complex(k.as_group(), max_degree, memory_budget)
         mats = []
         for n in range(max_degree + 1):
-            columns = [{encode_tuple(k_order, kt): coeff for kt, coeff
-                        in transfer_tuple(g, k, e, rep_of, decode_tuple(g.order, n, col)).items()}
-                       for col in range(g.order ** n)]
+            tables = _transfer_tables(step, k.order, n)
+            columns = [_accumulate({}, ((t[i], 1) for t in tables)) for i in range(src.sizes[n])]
             mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
         return make_chain_map("transfer", src, dst, mats)
 
@@ -663,15 +647,14 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
     dst = invariant_complex(sub_action, max_degree, memory_budget)
     mats = []
     for n in range(max_degree + 1):
+        tables = _transfer_tables(step, k.order, n)
         moves = _tuple_maps(action.perm, g.order, n)
         sub_data = tuple_orbits(sub_action, n)
         columns = []
         for rep in tuple_orbits(action, n).reps:
             acc: dict[int, int] = {}
             for mem in sorted({m[rep] for m in moves}):
-                t = decode_tuple(g.order, n, mem)
-                _accumulate(acc, ((encode_tuple(k_order, kt), coeff) for kt, coeff
-                                  in transfer_tuple(g, k, e, rep_of, t).items()))
+                _accumulate(acc, ((t[mem], 1) for t in tables))
             try:
                 columns.append(_orbit_coords(acc, sub_data, "transfer"))
             except InternalCheckError as exc:
@@ -694,69 +677,33 @@ def find_equivariant_coset_reps(g: FiniteGroup, k: Subgroup, action: GroupAction
     if not is_q_stable(action, k):
         raise GroupConstructionError("subgroup is not Q-stable")
     coset_of_elem, cosets = _coset_tables(g, k)
-    n_cosets = len(cosets)
-    # Q permutes cosets
-    coset_perm = []
-    for p in action.perm:
-        coset_perm.append([coset_of_elem[p[members[0]]] for members in cosets])
-
+    # Q permutes cosets; perm lists every element of Q, identity first
+    coset_perm = [[coset_of_elem[p[members[0]]] for members in cosets] for p in action.perm]
     assigned: dict[int, int] = {}
-    ok = True
-    for base in range(n_cosets):
+    for base, members in enumerate(cosets):
         if base in assigned:
             continue
-        orbit = {base}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for cp in coset_perm:
-                    if cp[c] not in orbit:
-                        orbit.add(cp[c])
-                        nxt.append(cp[c])
-            frontier = nxt
-        stab = [qi for qi in range(action.q.order) if coset_perm[qi][base] == base]
-        rep = None
-        for cand in cosets[base]:
-            if all(action.perm[qi][cand] == cand for qi in stab):
-                rep = cand
-                break
+        stab = [p for p, cp in zip(action.perm, coset_perm) if cp[base] == base]
+        rep = next((x for x in members if all(p[x] == x for p in stab)), None)
         if rep is None:
-            ok = False
             break
-        assigned[base] = rep
-        for c in orbit:
-            if c == base:
-                continue
-            qi = next(q for q in range(action.q.order) if coset_perm[q][base] == c)
-            assigned[c] = action.perm[qi][rep]
-    if ok:
+        for p, cp in zip(action.perm, coset_perm):
+            assigned.setdefault(cp[base], p[rep])
+    else:
         e = sorted(assigned.values())
         rep_of = _rep_table(g, k, e)
-        for qi in range(action.q.order):
-            p = action.perm[qi]
+        for p in action.perm:
             assert all(p[rep_of[x]] == rep_of[p[x]] for x in g.elements()), \
                 "pointwise-compatible transversal failed its defining condition"
         return e
 
     # exhaustive fallback, validated against the invariant complexes
-    space = 1
-    for members in cosets[1:]:
-        space *= len(members)
+    space = math.prod(len(members) for members in cosets[1:])
     if space > 100_000:
-        raise EquivarianceError(
+        raise GroupConstructionError(
             f"transversal search space of size {space} is too large to exhaust")
-
-    def candidates(idx: int, chosen: list[int]):
-        if idx == n_cosets:
-            yield list(chosen)
-            return
-        for cand in cosets[idx]:
-            chosen.append(cand)
-            yield from candidates(idx + 1, chosen)
-            chosen.pop()
-
-    for cand in candidates(1, [0]):  # identity coset is represented by 0
+    for rest in itertools.product(*cosets[1:]):
+        cand = [0, *rest]  # identity coset is represented by 0
         try:
             transfer_chain_map(g, k, cand, check_degree, action=action)
         except EquivarianceError:

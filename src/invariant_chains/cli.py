@@ -279,12 +279,16 @@ def cmd_info(args) -> int:
 def cmd_verify(args) -> int:
     if args.coeff_a is not None and not _is_prime(args.coeff_a):
         raise SpecParseError(f"--coeff-a must be a prime, got {args.coeff_a}")
+    for name in args.suites:
+        if name not in REGISTRY:
+            raise SpecParseError(f"unknown suite {name!r}; known: {', '.join(REGISTRY)}")
+        if name in ("structure", "transfer", "divisible") and not args.group:
+            raise SpecParseError(f"suite {name!r} needs --group")
+        if name == "transfer" and args.subgroup is None:
+            raise SpecParseError("suite 'transfer' needs --subgroup")
     reports = []
     for name in args.suites:
-        suite = REGISTRY.get(name)
-        if suite is None:
-            print(f"unknown suite {name!r}; known: {', '.join(REGISTRY)}", file=sys.stderr)
-            return EXIT_BAD_SPEC
+        suite = REGISTRY[name]
         if name == "n_odd":
             report = suite(args.n, args.max_degree)
         elif name == "n_2k":
@@ -294,17 +298,11 @@ def cmd_verify(args) -> int:
         elif name == "integer_line":
             report = suite(args.bound)
         else:
-            if not args.group:
-                print(f"suite {name!r} needs --group", file=sys.stderr)
-                return EXIT_BAD_SPEC
             g = parse_group_spec(args.group)
             action = parse_action_spec(args.action, g)
             if name == "structure":
                 report = suite(action, args.max_degree, invertible_coeff=args.coeff_a)
             elif name == "transfer":
-                if args.subgroup is None:
-                    print("suite 'transfer' needs --subgroup", file=sys.stderr)
-                    return EXIT_BAD_SPEC
                 report = suite(g, _parse_subgroup(args.subgroup, g), action, args.max_degree)
             else:  # divisible
                 report = suite(g, action)

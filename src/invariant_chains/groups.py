@@ -360,19 +360,25 @@ def fixed_subgroup(action: GroupAction) -> Subgroup:
     return Subgroup(action.g, tuple(sorted(fixed)))
 
 
+def _coset_tables(g: FiniteGroup, k: Subgroup) -> tuple[list[int], list[list[int]]]:
+    """(coset id per element, sorted members per coset), cosets K*x in first-seen order."""
+    coset_of_elem = [-1] * g.order
+    cosets: list[list[int]] = []
+    for x in g.elements():
+        if coset_of_elem[x] >= 0:
+            continue
+        members = sorted(g.mul(a, x) for a in k.members)
+        for m in members:
+            coset_of_elem[m] = len(cosets)
+        cosets.append(members)
+    return coset_of_elem, cosets
+
+
 def coset_representatives(g: FiniteGroup, k: Subgroup) -> list[int]:
-    """One representative per right coset K*x; identity represents K itself."""
+    """The smallest element of each right coset K*x; identity represents K itself."""
     if k.parent is not g and k.parent != g:
         raise GroupConstructionError("subgroup belongs to a different group")
-    seen = [False] * g.order
-    reps = []
-    for x in g.elements():
-        if seen[x]:
-            continue
-        reps.append(x)
-        for a in k.members:
-            seen[g.mul(a, x)] = True
-    return reps
+    return [members[0] for members in _coset_tables(g, k)[1]]
 
 
 def is_q_stable(action: GroupAction, k: Subgroup) -> bool:

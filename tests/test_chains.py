@@ -1,10 +1,14 @@
 """Bar complexes, orbit complexes, norm/quotient, budgets."""
 
 import importlib
+import itertools
+import math
 import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import invariant_chains
 from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boundary, _memo,
@@ -352,6 +356,55 @@ def test_index_tables_agree_with_the_tuple_path(make):
             assert (d.rows, d.cols) == (lower.count if slice_ is not bar else order ** (n - 1),
                                         len(cols))
             assert [list(col.items()) for col in d.columns] == [list(col.items()) for col in cols]
+
+
+@st.composite
+def perm_actions(draw):
+    """An action_from_permutations on a cyclic or product group of order <= 12.
+
+    Each generator multiplies every cyclic factor by a unit, then may swap
+    two equal factors.
+    """
+    if draw(st.booleans()):
+        factors = [draw(st.integers(1, 12))]
+    else:
+        a = draw(st.integers(2, 6))
+        factors = [a, draw(st.integers(2, 12 // a))]
+    cyclic = [make_cyclic(f) for f in factors]
+    g = cyclic[0] if len(cyclic) == 1 else make_product(*cyclic)
+    perms = []
+    for _ in range(draw(st.integers(1, 2))):
+        units = [draw(st.sampled_from([u for u in range(f) if math.gcd(u, f) == 1]))
+                 for f in factors]
+        swap = len(factors) == 2 and factors[0] == factors[1] and draw(st.booleans())
+        perm = []
+        for digits in itertools.product(*map(range, factors)):  # g's element order
+            moved = [u * x % f for u, x, f in zip(units, digits, factors)]
+            if swap:
+                moved.reverse()
+            idx = 0
+            for x, f in zip(moved, factors):
+                idx = idx * f + x
+            perm.append(idx)
+        perms.append(perm)
+    return action_from_permutations(g, perms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(perm_actions())
+def test_table_builders_on_random_perm_actions(act):
+    g, top = act.g, 3
+    inv = invariant_complex(act, top)
+    data = [tuple_orbits(act, n) for n in range(top + 1)]
+    for n in range(top + 1):
+        assert (data[n].reps, data[n].sizes, data[n].orbit_of) == tuple_path_orbits(act, n)
+        assert data[n].count == burnside_orbit_count(act, n)
+    for n in range(1, top + 1):
+        assert inv.d(n).columns == [_orbit_coords(_expand_orbit_boundary(act, n, rep),
+                                                  data[n - 1], "test")
+                                    for rep in data[n].reps]
+    triv = trivial_action(g)
+    assert homology(invariant_complex(triv, top)).rows() == homology(bar_complex(g, top)).rows()
 
 
 def test_orbit_members_and_labels():

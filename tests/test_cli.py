@@ -126,13 +126,20 @@ def test_bad_specs_exit_2(capsys):
     assert cli.main(["compute", "--group", "cyclic:x"]) == 2
     assert cli.main(["compute", "--group", "cyclic:4", "--coeff", "Q"]) == 2
     assert cli.main(["compute", "--group", "cyclic:4", "--action", "spin"]) == 2
-    assert cli.main(["verify", "transfer", "--group", "cyclic:6"]) == 2
     capsys.readouterr()
     # each of these exits 2 with one error line and no output, not a traceback
     for argv in (["compute", "--group", "cyclic:0"],
                  ["compute", "--group", "cyclic:4", "--max-degree", "-2"],
                  ["compute", "--group", "cyclic:4", "--max-degree", "-1"],
                  ["classical", "--group", "cyclic:4", "--max-degree", "-1"],
+                 ["verify", "structure"],
+                 ["verify", "transfer", "--group", "cyclic:6"],
+                 ["verify", "not_a_suite"],
+                 # every suite name is checked before any suite runs
+                 ["verify", "n_odd", "not_a_suite"],
+                 # 2^31 transversals to try, refused before the search
+                 ["verify", "transfer", "--group", "cyclic:64", "--subgroup", "32",
+                  "--max-degree", "1"],
                  ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "abc"],
                  ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "99"],
                  ["verify", "transfer", "--group", "cyclic:6", "--subgroup", "6"],
