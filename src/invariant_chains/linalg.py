@@ -18,9 +18,15 @@ and V^-1 its caller asks for.  Everything else is read off it:
 Pivoting is deterministic, so results are reproducible bit for bit: the
 pivot column is the one with the fewest nonzeros, ties to the lowest index,
 and in it the pivot row is the shortest row, then the one of smallest
-magnitude, then the lowest index.  The column comes from a priority queue
-keyed by (nonzero count, column index), re-keyed only for the columns whose
-counts the elementary operations since the last pivot could change.
+magnitude, then the lowest index.  A transform-free run over Z puts units
+first: while some column holds a +-1, the pivot column is the one of those
+with the fewest nonzeros, then the lowest index, and the pivot row its
+shortest +-1 row, then the lowest index; only when no +-1 is left does the
+rule above choose.  The column comes from a priority queue keyed by
+(nonzero count, column index), re-keyed only for the columns whose counts
+the elementary operations since the last pivot could change; units first
+reads a second such queue whose keys are checked, as they reach the top, for
+a column that still holds a +-1.
 Each pivot is eliminated where the queue finds it: no row or column is ever
 moved.  The engine keeps the pivot sequence instead, and orders the lines of
 the transforms once at the end, pivot lines first in pivot order, so that
@@ -51,7 +57,8 @@ its columns, and the elimination of d_{n+1} may take A as `skip_rows`: those
 rows are never loaded, and its invariant factors (over Z) or rank (over Z/p)
 stay the same.  Over Z/p, A is every pivot column; over Z it is the columns
 of the leading pivots that were +-1 when chosen, up to the first that was
-not, because until then no gcd step happens: each row operation adds a
+not.  With units first, that run covers every pivot chosen while a +-1 was
+left.  Until its end no gcd step happens: each row operation adds a
 multiple of the pivot row to another row or negates the pivot row, and each
 column operation adds a multiple of the pivot column to a column without a
 pivot.  Precondition: d_n * d_{n+1} = 0 in the ring, which
@@ -378,7 +385,9 @@ class _SnfEngine:
 
     A transform-free run may leave out `skip_rows` (never loaded; the other
     rows keep their indices), and `cleared` lists the columns whose rows the
-    next boundary may skip: see "Clearing" in the module docstring.
+    next boundary may skip: see "Clearing" in the module docstring.  Over Z
+    such a run chooses unit pivots first, which lengthens the run of unit
+    pivots that `cleared` reports; every other run keeps the plain rule.
     """
 
     def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
@@ -406,8 +415,8 @@ class _SnfEngine:
         self.cleared: list[int] = []
         self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
         self._done = [False] * m.cols
-        # pivot queue: a heap of keys count * cols + c, each checked against
-        # the live count when it reaches the top; `_keyed[c]` is the count
+        # pivot queues: heaps of keys count * cols + c, each checked against
+        # the live count when it reaches the top, with `keyed[c]` the count
         # column c was last queued with.  Column ops re-key their columns at
         # once.  Row ops record their rows, and the supports of those rows
         # are re-keyed before the next choice: every column whose count a row
@@ -415,6 +424,12 @@ class _SnfEngine:
         # op changes that count again and re-keys or records it in turn.
         # (Collecting the columns themselves into a set that was filled and
         # freed on every pivot raised the peak RSS by several MB.)
+        # Over Z without transforms a second queue holds the columns that may
+        # hold a +-1.  It is re-keyed with the first, and a column it drops
+        # for holding none gets `keyed[c] = 0` there, so that the column's
+        # next re-key queues it again: a +-1 appears only where an op writes,
+        # and the columns of every op are re-keyed before the next choice.
+        self._units_first = not (mod or want_u or want_v or want_u_inv or want_v_inv)
         self._rows_touched: set[int] = set()
         self._rebuild_queue()
         self._run()
@@ -480,27 +495,32 @@ class _SnfEngine:
             negate(p)
             negate(o)
 
-    # pivot selection: structural fill estimate, then magnitude, then index
+    # pivot selection: units first (over Z without transforms), then
+    # structural fill estimate, magnitude and index
 
     def _rekey(self, c: int) -> None:
-        """Queue column c again if its count differs from the one last queued."""
+        """Queue column c again where its count differs from the one last queued."""
         n = len(self.ws.cross.get(c, ()))
-        if n != self._keyed[c]:
-            self._keyed[c] = n
-            if n:
-                heapq.heappush(self._queue, n * self.m.cols + c)
+        for queue, keyed in self._queues:
+            if n != keyed[c]:
+                keyed[c] = n
+                if n:
+                    heapq.heappush(queue, n * self.m.cols + c)
 
     def _rebuild_queue(self) -> None:
         """One key per column without a pivot and with a nonzero count, nothing recorded."""
         ncols = self.m.cols
         done = self._done
-        self._keyed = [0] * ncols
-        self._queue = []
+        keyed = [0] * ncols
+        queue = []
         for c, rows in self.ws.cross.items():
             if rows and not done[c]:
-                self._keyed[c] = len(rows)
-                self._queue.append(len(rows) * ncols + c)
-        heapq.heapify(self._queue)
+                keyed[c] = len(rows)
+                queue.append(len(rows) * ncols + c)
+        heapq.heapify(queue)
+        self._queues = [(queue, keyed)]
+        if self._units_first:
+            self._queues.append((queue[:], keyed[:]))
         self._rows_touched.clear()
 
     def _choose_pivot(self) -> tuple[int, int] | None:
@@ -508,18 +528,35 @@ class _SnfEngine:
         cross = ws.cross
         ncols = self.m.cols
         done = self._done
-        if len(self._queue) > 2 * ncols:
+        queues = self._queues
+        if any(len(queue) > 2 * ncols for queue, _ in queues):
             self._rebuild_queue()
+            queues = self._queues
         else:
-            keyed = self._keyed
             for r in self._rows_touched:
                 for c in ws.lines[r]:
+                    if done[c]:
+                        continue
                     n = len(cross[c])
-                    if n != keyed[c] and not done[c]:
-                        keyed[c] = n
-                        heapq.heappush(self._queue, n * ncols + c)
+                    for queue, keyed in queues:
+                        if n != keyed[c]:
+                            keyed[c] = n
+                            heapq.heappush(queue, n * ncols + c)
             self._rows_touched.clear()
-        queue = self._queue
+        if self._units_first:
+            # the live column of least key that holds a +-1, and in it the
+            # shortest +-1 row, then the lowest index
+            queue, keyed = queues[1]
+            while queue:
+                n, c = divmod(queue[0], ncols)
+                if not done[c] and len(cross.get(c, ())) == n:
+                    units = [(len(ws.lines[r]), r) for r in cross[c]
+                             if ws.lines[r][c] in (1, -1)]
+                    if units:
+                        return min(units)[1], c
+                    keyed[c] = 0
+                heapq.heappop(queue)
+        queue = queues[0][0]
         while queue:
             n, best_c = divmod(queue[0], ncols)
             if not done[best_c] and len(cross.get(best_c, ())) == n:

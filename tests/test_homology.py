@@ -203,6 +203,14 @@ def test_uct_crosscheck_on_standard_complexes():
         assert dd_zero(slc)
 
 
+def test_uct_crosscheck_on_inv_z4_degree_8():
+    slc = invariant_complex(negation_action(4), 8)
+    assert all(rec.ok for rec in uct_crosscheck(slc, primes=(2, 3)))
+    # a value this package computes, pinned so that a change to it shows;
+    # it is not taken from the paper's tables
+    assert homology(slc).group(7) == FgAbelianGroup(0, (2,) * 5)
+
+
 def test_invariantiso_for_invertible_coefficients():
     # invariant homology with A = Z/5 equals the fixed classes of H(G; Z/5)
     act = negation_action(5)

@@ -178,7 +178,7 @@ class _ScanPivotEngine(_SnfEngine):
         return best_r, best_c
 
 
-def test_pivot_queue_matches_linear_scan():
+def queue_test_matrices():
     rng = random.Random(5)
     mats = [random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.3)
             for _ in range(40)]
@@ -189,11 +189,74 @@ def test_pivot_queue_matches_linear_scan():
         mats.append(SparseIntMatrix.from_entries(rows, cols, {
             (r, c): rng.choice((-3, -2, -1, 1, 2, 3))
             for c in range(cols) for r in rng.sample(range(rows), rng.randint(2, 3))}))
-    mats += z4_boundaries()
-    for m in mats:
+    return mats + z4_boundaries()
+
+
+def test_pivot_queue_matches_linear_scan():
+    for m in queue_test_matrices():
         for mod in (0, 2, 3, 5):
             assert (engine_lines(full_engine(_SnfEngine, m, mod))
                     == engine_lines(full_engine(_ScanPivotEngine, m, mod))), (m, mod)
+
+
+class _UnitScanPivotEngine(_ScanPivotEngine):
+    """Reference: a linear scan under the rule of transform-free runs over Z.
+
+    While some column without a pivot holds a +-1, the pivot column is the
+    one of them with the fewest nonzeros, then the lowest index, and the
+    pivot row its shortest +-1 row, then the lowest index.  When none does,
+    the scan of `_ScanPivotEngine` chooses.
+    """
+
+    def _choose_pivot(self) -> tuple[int, int] | None:
+        ws = self.ws
+        units = [(len(rows), c) for c, rows in ws.cross.items() if not self._done[c]
+                 and any(ws.lines[r][c] in (1, -1) for r in rows)]
+        if not units:
+            return super()._choose_pivot()
+        c = min(units)[1]
+        return min((len(ws.lines[r]), r) for r in ws.cross[c] if ws.lines[r][c] in (1, -1))[1], c
+
+
+def transform_free_run(cls, m):
+    """The pivots (row, column, a unit when chosen), diag and cleared columns
+    of a transform-free run over Z."""
+    pivots = []
+
+    class Recording(cls):
+        def _choose_pivot(self):
+            picked = super()._choose_pivot()
+            if picked is not None:
+                r, c = picked
+                pivots.append((r, c, abs(self.ws.lines[r][c]) == 1))
+            return picked
+
+    eng = Recording(m)
+    return pivots, eng.diag, eng.cleared
+
+
+def test_unit_pivot_queue_matches_linear_scan():
+    rng = random.Random(6)
+    # larger entries, so that gcd steps make units again after none is left.
+    # In the first, a column dropped for holding no unit gets one back while
+    # its count is the same again; in the second, a row op changes the count
+    # of a unit column that only the rows recorded for re-keying reach.
+    mats = [dense([[0, 0, 0, 0, 0], [0, -6, 0, 0, -1], [0, 0, -2, 0, 0], [-6, 0, 3, 0, 5],
+                   [-4, 6, 0, -5, 3], [-4, 5, -2, 2, 1]]),
+            dense([[0, 5, -3, 1, 0, 0], [-4, 0, 0, 0, -3, 5], [0, 0, 0, 0, -4, 0],
+                   [1, -6, -3, 0, 0, 0], [-1, 6, -4, -2, 0, -2]])]
+    mats += [random_matrix(rng, rng.randint(2, 7), rng.randint(2, 7), lo=-6, hi=6,
+                           density=rng.choice((0.4, 0.6, 0.8))) for _ in range(300)]
+    mats += queue_test_matrices()
+    returned = 0  # unit pivots chosen after a pivot that was not a unit
+    for m in mats:
+        pivots, diag, cleared = transform_free_run(_SnfEngine, m)
+        assert (pivots, diag, cleared) == transform_free_run(_UnitScanPivotEngine, m), m
+        units = [unit for _, _, unit in pivots]
+        lead = units.index(False) if False in units else len(units)
+        assert cleared == [c for _, c, _ in pivots[:lead]]
+        returned += sum(units[lead:])
+    assert returned > 0
 
 
 class _AxpyRowClearEngine(_SnfEngine):
@@ -521,14 +584,19 @@ def test_field_echelon_and_ranks():
 # clearing: a boundary skips the rows its predecessor's cleared columns name
 
 
-def chained_eliminations(boundaries, mod):
-    """Each boundary's invariant factors (mod 0) or rank mod p, skipping cleared rows."""
+def chained_runs(boundaries, mod):
+    """Each boundary's invariant factors (mod 0) or rank mod p, skipping the
+    rows the boundary before cleared, with the columns it clears itself."""
     out, cleared = [], []
     for d in boundaries:
         skip, cleared = cleared, []
-        out.append(rank_mod_p(d, mod, skip_rows=skip, cleared=cleared) if mod
-                   else invariant_factors(d, skip_rows=skip, cleared=cleared))
+        out.append((rank_mod_p(d, mod, skip_rows=skip, cleared=cleared) if mod
+                    else invariant_factors(d, skip_rows=skip, cleared=cleared), cleared))
     return out
+
+
+def chained_eliminations(boundaries, mod):
+    return [result for result, _ in chained_runs(boundaries, mod)]
 
 
 def uncleared_eliminations(boundaries, mod):
@@ -593,16 +661,37 @@ def test_cleared_rows_keep_factors_and_ranks(boundaries):
 
 
 def test_cleared_stops_at_the_first_nonunit_pivot():
-    d1, d2 = dense([[2, 1]]), dense([[1], [-2]])
+    # no entry of d1 is a unit, so its first pivot is not one
+    d1, d2 = dense([[2, 3]]), dense([[3], [-2]])
     cleared = []
     assert invariant_factors(d1, cleared=cleared) == (1,)
-    assert cleared == []  # the first pivot, (0, 0), is 2
+    assert cleared == []
     assert invariant_factors(d2, skip_rows=cleared) == (1,)
     assert invariant_factors(d2, skip_rows=[0]) == (2,)  # what skipping row 0 would give
     for p in (2, 3):
         assert chained_eliminations([d1, d2], p) == [1, 1]
+    # a +-1 is chosen before a +-2 of another column with as many nonzeros
+    d1, d2 = dense([[2, 1]]), dense([[1], [-2]])
+    cleared = []
+    assert invariant_factors(d1, cleared=cleared) == (1,)
+    assert cleared == [1]
+    assert invariant_factors(d2, skip_rows=cleared) == (1,)
     with pytest.raises(ValueError, match="without transforms"):
         _SnfEngine(d2, want_v=True, skip_rows=[0])
+
+
+def test_clearing_reaches_every_pivot_of_inv_z6_d5():
+    # units first: every pivot of d_5 over Z is cleared, as over Z/2 (with
+    # the plain pivot rule, 164 of these 560 columns were)
+    boundaries = invariant_complex(negation_action(6), 5).boundaries
+    factors, cleared_z = chained_runs(boundaries, 0)[-1]
+    rank, cleared_2 = chained_runs(boundaries, 2)[-1]
+    assert len(cleared_z) == len(factors) == len(cleared_2) == rank == 560
+
+
+def test_chained_equals_uncleared_on_inv_z4_degree_7():
+    boundaries = invariant_complex(negation_action(4), 7).boundaries
+    assert chained_eliminations(boundaries, 0) == uncleared_eliminations(boundaries, 0)
 
 
 def test_profiles_equal_uncleared_elimination_on_the_ladder():
