@@ -30,12 +30,12 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, EquivarianceError, GroupConstructionError, \
     InternalCheckError
 from .groups import DEFAULT_MEMORY_BUDGET, FiniteGroup, GroupAction, Subgroup, \
-    _coset_tables, fixed_subgroup, is_q_stable, restrict_action
+    _approx_bytes, _coset_tables, fixed_subgroup, is_q_stable, restrict_action
 from .linalg import SparseIntMatrix
 
 BarTuple = tuple[int, ...]
@@ -255,22 +255,31 @@ class OrbitData:
         return len(self.reps)
 
 
-def estimate_build_bytes(order: int, max_degree: int) -> int:
-    # boundary-entry estimate, ~150 bytes each: a column-dict entry takes less,
-    # but the figure is kept so that budgets and `info` output do not move
+def estimate_build_bytes(cells: Iterable[int], budget: int | None = None) -> int:
+    """~150 bytes per boundary entry, with cells[n] cells in degree n.
+
+    A degree-n cell has at most n + 1 entries, an orbit sum too (the faces
+    of q*t are q times those of t).  The sum stops once it passes `budget`.
+    """
     total = 0
-    for n in range(max_degree + 1):
-        total += (order ** n) * (n + 1) * 150
+    for n, c in enumerate(cells):
+        total += c * (n + 1) * 150
+        if budget is not None and total > budget:
+            break
     return total
 
 
-def _check_budget(order: int, max_degree: int, memory_budget: int | None) -> None:
+def _check_budget(source, max_degree: int, memory_budget: int | None) -> None:
+    # the cells of a bar complex are |G|^n tuples, those of an action's
+    # complexes its Q-orbits, counted by Burnside
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    est = estimate_build_bytes(order, max_degree)
+    g = source if isinstance(source, FiniteGroup) else source.g
+    est = estimate_build_bytes((g.order ** n if g is source else burnside_orbit_count(source, n)
+                                for n in range(max_degree + 1)), budget)
     if est > budget:
         raise BudgetExceededError(
-            f"building degree {max_degree} over a group of order {order} needs "
-            f"~{est} bytes, budget is {budget}")
+            f"building degree {max_degree} over a group of order {g.order} needs "
+            f"{_approx_bytes(est)} or more, budget is {budget}")
 
 
 # every in-process memo: builder results, orbit data and homology profiles
@@ -290,8 +299,7 @@ def _memoized(build):
     """
     @functools.wraps(build)
     def builder(source, max_degree: int, memory_budget: int | None = None):
-        g = source if isinstance(source, FiniteGroup) else source.g
-        _check_budget(g.order, max_degree, memory_budget)
+        _check_budget(source, max_degree, memory_budget)
         key = (build, source, max_degree)
         if key not in _memo:
             _memo[key] = build(source, max_degree, memory_budget)

@@ -258,7 +258,7 @@ def cmd_info(args) -> int:
         "action": args.action,
         "max_degree": args.max_degree,
         "fixed_subgroup_order": sub.order,
-        "estimated_build_bytes": estimate_build_bytes(g.order, n_build),
+        "estimated_build_bytes": estimate_build_bytes([row["orbits"] for row in degrees]),
         "degrees": degrees,
     }
 

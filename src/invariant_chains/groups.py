@@ -96,13 +96,18 @@ def _validate_group(order: int, mul: Sequence[Sequence[int]], name: str) -> Fini
     return FiniteGroup(order, tuple(tuple(row) for row in mul), tuple(inv), name)
 
 
+def _approx_bytes(n: int) -> str:
+    """"~n bytes", or a power of two below n when n has too many digits to print."""
+    return f"~{n} bytes" if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1} bytes"
+
+
 def _check_table_budget(order: int, memory_budget: int | None) -> None:
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     est = order * order * _TABLE_BYTES_PER_ENTRY
     if est > budget:
         raise BudgetExceededError(
             f"the multiplication table of a group of order {order} needs "
-            f"~{est} bytes, budget is {budget}")
+            f"{_approx_bytes(est)}, budget is {budget}")
 
 
 def make_cyclic(n: int, memory_budget: int | None = None) -> FiniteGroup:

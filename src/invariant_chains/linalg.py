@@ -15,18 +15,17 @@ and V^-1 its caller asks for.  Everything else is read off it:
     ambient relations, gives its presentation and membership; kernels and
     fixed points are the preimages of a relation lattice
 
-Pivoting is deterministic, so results are reproducible bit for bit: the
-pivot column is the one with the fewest nonzeros, ties to the lowest index,
-and in it the pivot row is the shortest row, then the one of smallest
-magnitude, then the lowest index.  A transform-free run over Z puts units
-first: while some column holds a +-1, the pivot column is the one of those
-with the fewest nonzeros, then the lowest index, and the pivot row its
-shortest +-1 row, then the lowest index; only when no +-1 is left does the
-rule above choose.  The column comes from a priority queue keyed by
+Pivoting is deterministic, so results are reproducible bit for bit, and
+one rule chooses every pivot.  A unit is +-1 over Z and any nonzero entry
+over Z/p.  The pivot column is the column without a pivot that holds a
+unit and has the fewest nonzeros, ties to the lowest index; in it the pivot
+row is the unit entry of least (row length, magnitude, row index).  When no
+column holds a unit, which happens only over Z, the same rule reads every
+entry as a candidate.  The column comes from a priority queue keyed by
 (nonzero count, column index), re-keyed only for the columns whose counts
-the elementary operations since the last pivot could change; units first
-reads a second such queue whose keys are checked, as they reach the top, for
-a column that still holds a +-1.
+the elementary operations since the last pivot could change, and checked as
+keys reach the top for a column that still holds a candidate; over Z a
+second such queue holds every column and is read once no unit is left.
 Each pivot is eliminated where the queue finds it: no row or column is ever
 moved.  The engine keeps the pivot sequence instead, and orders the lines of
 the transforms once at the end, pivot lines first in pivot order, so that
@@ -57,8 +56,8 @@ its columns, and the elimination of d_{n+1} may take A as `skip_rows`: those
 rows are never loaded, and its invariant factors (over Z) or rank (over Z/p)
 stay the same.  Over Z/p, A is every pivot column; over Z it is the columns
 of the leading pivots that were +-1 when chosen, up to the first that was
-not.  With units first, that run covers every pivot chosen while a +-1 was
-left.  Until its end no gcd step happens: each row operation adds a
+not.  Units come first, so that run covers every pivot chosen while a +-1
+was left.  Until its end no gcd step happens: each row operation adds a
 multiple of the pivot row to another row or negates the pivot row, and each
 column operation adds a multiple of the pivot column to a column without a
 pivot.  Precondition: d_n * d_{n+1} = 0 in the ring, which
@@ -385,9 +384,9 @@ class _SnfEngine:
 
     A transform-free run may leave out `skip_rows` (never loaded; the other
     rows keep their indices), and `cleared` lists the columns whose rows the
-    next boundary may skip: see "Clearing" in the module docstring.  Over Z
-    such a run chooses unit pivots first, which lengthens the run of unit
-    pivots that `cleared` reports; every other run keeps the plain rule.
+    next boundary may skip: see "Clearing" in the module docstring.  Every
+    run, in either ring, with or without transforms, takes its pivots by the
+    one rule of the module docstring: units first, then over Z every entry.
     """
 
     def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
@@ -424,12 +423,11 @@ class _SnfEngine:
         # op changes that count again and re-keys or records it in turn.
         # (Collecting the columns themselves into a set that was filled and
         # freed on every pivot raised the peak RSS by several MB.)
-        # Over Z without transforms a second queue holds the columns that may
-        # hold a +-1.  It is re-keyed with the first, and a column it drops
-        # for holding none gets `keyed[c] = 0` there, so that the column's
-        # next re-key queues it again: a +-1 appears only where an op writes,
-        # and the columns of every op are re-keyed before the next choice.
-        self._units_first = not (mod or want_u or want_v or want_u_inv or want_v_inv)
+        # The first queue holds the columns that may hold a unit, and over Z
+        # a second one holds every column.  A column the unit queue drops for
+        # holding none gets `keyed[c] = 0` there, so that the column's next
+        # re-key queues it again: a +-1 appears only where an op writes, and
+        # the columns of every op are re-keyed before the next choice.
         self._rows_touched: set[int] = set()
         self._rebuild_queue()
         self._run()
@@ -495,8 +493,8 @@ class _SnfEngine:
             negate(p)
             negate(o)
 
-    # pivot selection: units first (over Z without transforms), then
-    # structural fill estimate, magnitude and index
+    # pivot selection: units first, then fewest nonzeros, row length,
+    # magnitude and index
 
     def _rekey(self, c: int) -> None:
         """Queue column c again where its count differs from the one last queued."""
@@ -519,12 +517,13 @@ class _SnfEngine:
                 queue.append(len(rows) * ncols + c)
         heapq.heapify(queue)
         self._queues = [(queue, keyed)]
-        if self._units_first:
+        if not self.mod:
             self._queues.append((queue[:], keyed[:]))
         self._rows_touched.clear()
 
     def _choose_pivot(self) -> tuple[int, int] | None:
         ws = self.ws
+        lines = ws.lines
         cross = ws.cross
         ncols = self.m.cols
         done = self._done
@@ -534,7 +533,7 @@ class _SnfEngine:
             queues = self._queues
         else:
             for r in self._rows_touched:
-                for c in ws.lines[r]:
+                for c in lines[r]:
                     if done[c]:
                         continue
                     n = len(cross[c])
@@ -543,34 +542,21 @@ class _SnfEngine:
                             keyed[c] = n
                             heapq.heappush(queue, n * ncols + c)
             self._rows_touched.clear()
-        if self._units_first:
-            # the live column of least key that holds a +-1, and in it the
-            # shortest +-1 row, then the lowest index
-            queue, keyed = queues[1]
+        # the unit queue, then over Z the queue of all columns: the live
+        # column of least key that holds a candidate of magnitude <= bound,
+        # and in it the candidate of least (row length, magnitude, row
+        # index).  Entries over Z/p lie in 1..p-1, so all are units.
+        for (queue, keyed), bound in zip(queues, (self.mod or 1, math.inf)):
             while queue:
                 n, c = divmod(queue[0], ncols)
                 if not done[c] and len(cross.get(c, ())) == n:
-                    units = [(len(ws.lines[r]), r) for r in cross[c]
-                             if ws.lines[r][c] in (1, -1)]
-                    if units:
-                        return min(units)[1], c
+                    rows = [(len(lines[r]), a, r) for r in cross[c]
+                            if (a := abs(lines[r][c])) <= bound]
+                    if rows:
+                        return min(rows)[2], c
                     keyed[c] = 0
                 heapq.heappop(queue)
-        queue = queues[0][0]
-        while queue:
-            n, best_c = divmod(queue[0], ncols)
-            if not done[best_c] and len(cross.get(best_c, ())) == n:
-                break
-            heapq.heappop(queue)
-        else:
-            return None
-        best_r = None
-        best_key = None
-        for r in cross[best_c]:
-            key = (len(ws.lines[r]), abs(ws.lines[r][best_c]), r)
-            if best_key is None or key < best_key:
-                best_key, best_r = key, r
-        return best_r, best_c
+        return None
 
     def _run(self):
         ws = self.ws

@@ -223,11 +223,27 @@ def test_quotient_chain_map_shapes():
 
 
 def test_budget_estimation_and_rejection():
-    assert estimate_build_bytes(8, 8) > 2 * 1024 ** 3
+    assert estimate_build_bytes([8 ** n for n in range(9)]) > 2 * 1024 ** 3
     with pytest.raises(BudgetExceededError):
         bar_complex(make_cyclic(4), 3, memory_budget=10)
     with pytest.raises(BudgetExceededError):
         invariant_complex(negation_action(4), 3, memory_budget=10)
+
+
+def test_action_builders_are_budgeted_by_orbits():
+    g, act = make_cyclic(4), negation_action(4)
+    tuples = estimate_build_bytes([4 ** n for n in range(4)])
+    orbits = estimate_build_bytes([burnside_orbit_count(act, n) for n in range(4)])
+    # Burnside: (4^n + 2^n) / 2 orbits of negation on Z/4, 1, 3, 10 and 36
+    assert orbits == 150 * (1 + 2 * 3 + 3 * 10 + 4 * 36) < tuples
+    for build in (invariant_complex, coinvariant_complex):
+        assert build(act, 3, memory_budget=orbits).sizes == (1, 3, 10, 36)
+        with pytest.raises(BudgetExceededError):
+            build(act, 3, memory_budget=orbits - 1)
+    with pytest.raises(BudgetExceededError):
+        bar_complex(g, 3, memory_budget=orbits)
+    # the sum stops at the first degree past the budget
+    assert estimate_build_bytes([1, 10, 10 ** 6], budget=1000) == 150 * (1 + 2 * 10)
 
 
 def memoized_calls():

@@ -172,12 +172,29 @@ def test_budget_exceeded_exits_3(capsys):
     for argv in (["compute", "--group", "cyclic:6", "--max-degree", "4",
                   "--memory-budget", "1K"],
                  ["compute", "--group", "cyclic:100000000", "--max-degree", "1"],
-                 ["verify", "n_0_mod_4", "--s", "40"]):
+                 ["verify", "n_0_mod_4", "--s", "40"],
+                 # estimates with more digits than an int prints by default
+                 ["compute", "--group", "cyclic:3", "--max-degree", "20000"],
+                 ["compute", "--group", "cyclic:" + "9" * 2200]):
         start = time.perf_counter()
         assert cli.main(argv) == 3, argv
         assert time.perf_counter() - start < 5, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert captured.err.count("\n") == 1, argv
+
+
+def test_orbit_estimate_admits_a_budget_the_tuples_exceed(capsys):
+    # inv(Z/4) through degree 8 peaks at 66 MB; its tuples would count
+    # ~114 MB, its orbits ~57 MB
+    argv = ["compute", "--group", "cyclic:4", "--max-degree", "7", "--format", "json"]
+    assert cli.main(argv + ["--memory-budget", "100M"]) == 0
+    assert capsys.readouterr().err == ""
+    code, data = run_json(capsys, ["info", "--group", "cyclic:4", "--max-degree", "7"])
+    assert code == 0
+    assert data["estimated_build_bytes"] == sum(
+        row["orbits"] * (row["degree"] + 1) * 150 for row in data["degrees"])
+    assert 50 * 1024 ** 2 < data["estimated_build_bytes"] < 100 * 1024 ** 2
 
 
 def test_maps_rejects_field_coefficients_before_building(capsys):

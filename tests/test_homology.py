@@ -211,6 +211,35 @@ def test_uct_crosscheck_on_inv_z4_degree_8():
     assert homology(slc).group(7) == FgAbelianGroup(0, (2,) * 5)
 
 
+def test_generators_of_z8_keep_small_coefficients(monkeypatch):
+    # generator data over Z takes unit pivots first, as the profiles do;
+    # with a plain fewest-nonzeros rule the transforms of inv(Z/8) grew to
+    # 311,922-bit entries in degree 3, and those of coinv(Z/8) did not finish
+    linalg = importlib.import_module("invariant_chains.linalg")
+    homology_module = importlib.import_module("invariant_chains.homology")
+    widest = [0]
+
+    class Recording(linalg._SnfEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            for ws in (self.u, self.u_inv, self.v, self.v_inv):
+                if ws is not None:
+                    widest[0] = max([widest[0]] + [abs(v).bit_length()
+                                                   for line in ws.lines for v in line.values()])
+
+    monkeypatch.setattr(linalg, "_SnfEngine", Recording)
+    monkeypatch.setattr(homology_module, "_SnfEngine", Recording)
+    clear_caches()
+    act = negation_action(8)
+    for slc in (invariant_complex(act, 4), coinvariant_complex(act, 4)):
+        prof = homology(slc)
+        gens = prof.generators(3)
+        assert len(gens) == prof.group(3).ngens
+        assert all(abs(x).bit_length() < 64 for g in gens for x in g)
+    assert 0 < widest[0] < 64
+    clear_caches()
+
+
 def test_invariantiso_for_invertible_coefficients():
     # invariant homology with A = Z/5 equals the fixed classes of H(G; Z/5)
     act = negation_action(5)

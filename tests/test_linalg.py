@@ -73,7 +73,9 @@ def extended_euclid(a, b):
 
 
 def test_gcd_step_is_the_extended_euclid_step():
-    small = [v for v in range(-12, 13) if v]
+    # no +-1 in either entry: units come first, so a +-1 would be the
+    # pivot and no gcd step would happen
+    small = [v for v in range(-12, 13) if abs(v) >= 2]
     pairs = [(a, b) for a in small for b in small if b % a]
     pairs += [(240, -46), (-987, 1597), (1234, 5678), (12345, -54321), (-99, -1000)]
     checked = 0
@@ -155,33 +157,40 @@ def test_snf_transforms_reproduce_diagonal():
 
 
 class _ScanPivotEngine(_SnfEngine):
-    """Reference: the engine with the linear column scan that its pivot queue replaced."""
+    """Reference: the engine's pivot rule by a linear scan instead of its queues.
+
+    A unit is +-1 over Z and any nonzero entry over Z/p.  The pivot column
+    is the column without a pivot of least (nonzero count, index) that holds
+    a unit, and the pivot row its unit of least (row length, magnitude, row
+    index).  When no column holds a unit, the same rule reads every entry.
+    """
 
     def _choose_pivot(self) -> tuple[int, int] | None:
         ws = self.ws
-        best_c = None
-        best_cn = None
-        for c, rows in ws.cross.items():
-            if self._done[c] or not rows:
-                continue
-            n = len(rows)
-            if best_cn is None or n < best_cn or (n == best_cn and c < best_c):
-                best_c, best_cn = c, n
-        if best_c is None:
+        entries = [(len(rows), c, len(ws.lines[r]), abs(ws.lines[r][c]), r)
+                   for c, rows in ws.cross.items() if not self._done[c] for r in rows]
+        if not entries:
             return None
-        best_r = None
-        best_key = None
-        for r in ws.cross[best_c]:
-            key = (len(ws.lines[r]), abs(ws.lines[r][best_c]), r)
-            if best_key is None or key < best_key:
-                best_key, best_r = key, r
-        return best_r, best_c
+        units = [e for e in entries if self.mod or e[3] == 1]
+        _, c, _, _, r = min(units or entries)
+        return r, c
 
 
 def queue_test_matrices():
+    rng = random.Random(6)
+    # larger entries, so that gcd steps make units again after none is left.
+    # In the first, a column dropped for holding no unit gets one back while
+    # its count is the same again; in the second, a row op changes the count
+    # of a unit column that only the rows recorded for re-keying reach.
+    mats = [dense([[0, 0, 0, 0, 0], [0, -6, 0, 0, -1], [0, 0, -2, 0, 0], [-6, 0, 3, 0, 5],
+                   [-4, 6, 0, -5, 3], [-4, 5, -2, 2, 1]]),
+            dense([[0, 5, -3, 1, 0, 0], [-4, 0, 0, 0, -3, 5], [0, 0, 0, 0, -4, 0],
+                   [1, -6, -3, 0, 0, 0], [-1, 6, -4, -2, 0, -2]])]
+    mats += [random_matrix(rng, rng.randint(2, 7), rng.randint(2, 7), lo=-6, hi=6,
+                           density=rng.choice((0.4, 0.6, 0.8))) for _ in range(300)]
     rng = random.Random(5)
-    mats = [random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.3)
-            for _ in range(40)]
+    mats += [random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12), density=0.3)
+             for _ in range(40)]
     # wide matrices whose columns all have two or three entries, so that
     # most pivot choices are decided by the lowest-index tie-break
     for _ in range(20):
@@ -199,28 +208,9 @@ def test_pivot_queue_matches_linear_scan():
                     == engine_lines(full_engine(_ScanPivotEngine, m, mod))), (m, mod)
 
 
-class _UnitScanPivotEngine(_ScanPivotEngine):
-    """Reference: a linear scan under the rule of transform-free runs over Z.
-
-    While some column without a pivot holds a +-1, the pivot column is the
-    one of them with the fewest nonzeros, then the lowest index, and the
-    pivot row its shortest +-1 row, then the lowest index.  When none does,
-    the scan of `_ScanPivotEngine` chooses.
-    """
-
-    def _choose_pivot(self) -> tuple[int, int] | None:
-        ws = self.ws
-        units = [(len(rows), c) for c, rows in ws.cross.items() if not self._done[c]
-                 and any(ws.lines[r][c] in (1, -1) for r in rows)]
-        if not units:
-            return super()._choose_pivot()
-        c = min(units)[1]
-        return min((len(ws.lines[r]), r) for r in ws.cross[c] if ws.lines[r][c] in (1, -1))[1], c
-
-
-def transform_free_run(cls, m):
+def transform_free_run(cls, m, mod):
     """The pivots (row, column, a unit when chosen), diag and cleared columns
-    of a transform-free run over Z."""
+    of a run without transforms."""
     pivots = []
 
     class Recording(cls):
@@ -228,34 +218,23 @@ def transform_free_run(cls, m):
             picked = super()._choose_pivot()
             if picked is not None:
                 r, c = picked
-                pivots.append((r, c, abs(self.ws.lines[r][c]) == 1))
+                pivots.append((r, c, bool(mod) or abs(self.ws.lines[r][c]) == 1))
             return picked
 
-    eng = Recording(m)
+    eng = Recording(m, mod)
     return pivots, eng.diag, eng.cleared
 
 
 def test_unit_pivot_queue_matches_linear_scan():
-    rng = random.Random(6)
-    # larger entries, so that gcd steps make units again after none is left.
-    # In the first, a column dropped for holding no unit gets one back while
-    # its count is the same again; in the second, a row op changes the count
-    # of a unit column that only the rows recorded for re-keying reach.
-    mats = [dense([[0, 0, 0, 0, 0], [0, -6, 0, 0, -1], [0, 0, -2, 0, 0], [-6, 0, 3, 0, 5],
-                   [-4, 6, 0, -5, 3], [-4, 5, -2, 2, 1]]),
-            dense([[0, 5, -3, 1, 0, 0], [-4, 0, 0, 0, -3, 5], [0, 0, 0, 0, -4, 0],
-                   [1, -6, -3, 0, 0, 0], [-1, 6, -4, -2, 0, -2]])]
-    mats += [random_matrix(rng, rng.randint(2, 7), rng.randint(2, 7), lo=-6, hi=6,
-                           density=rng.choice((0.4, 0.6, 0.8))) for _ in range(300)]
-    mats += queue_test_matrices()
-    returned = 0  # unit pivots chosen after a pivot that was not a unit
-    for m in mats:
-        pivots, diag, cleared = transform_free_run(_SnfEngine, m)
-        assert (pivots, diag, cleared) == transform_free_run(_UnitScanPivotEngine, m), m
-        units = [unit for _, _, unit in pivots]
-        lead = units.index(False) if False in units else len(units)
-        assert cleared == [c for _, c, _ in pivots[:lead]]
-        returned += sum(units[lead:])
+    returned = 0  # unit pivots chosen over Z after a pivot that was not a unit
+    for m in queue_test_matrices():
+        for mod in (0, 2, 3, 5):
+            pivots, diag, cleared = transform_free_run(_SnfEngine, m, mod)
+            assert (pivots, diag, cleared) == transform_free_run(_ScanPivotEngine, m, mod), (m, mod)
+            units = [unit for _, _, unit in pivots]
+            lead = units.index(False) if False in units else len(units)
+            assert cleared == [c for _, c, _ in pivots[:lead]]
+            returned += sum(units[lead:])
     assert returned > 0
 
 
