@@ -15,12 +15,18 @@ tables its image in K under each coset representative.  The tuple functions
 (`bar_boundary`, `orbit_members`, `_expand_orbit_boundary` and the tuple
 codec) are only the reference for the tests and the divisible suite.
 
+Every slice is checked for d.d = 0 by `dd_zero` as it is built.  The norm
+sequence `invariant_ses` is made of the built complexes and maps themselves:
+N_0 is the identity of Z and D_0 = 0, so it is exact in degree 0 too, and in
+degrees >= 1 it is the reduced sequence.
+
 One module-level memo holds what a process has computed: the five complex
 builders' results keyed by (builder, group or action, degree), orbit data,
-the homology profiles of `homology.homology`, keyed by the slice object, and
-each boundary's elimination per ring, held with the matrix itself.  The
-memory budget is checked on every builder call, memo hit or not, and is not
-part of the key.  `clear_caches()` empties the memo.
+and the homology profiles of `homology.homology`, keyed by the slice object
+and the coefficients.  No two slices share a boundary object, so a profile
+eliminates each boundary once per ring.  The memory budget is checked on
+every builder call, memo hit or not, and is not part of the key.
+`clear_caches()` empties the memo.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, EquivarianceError, GroupConstructionError, \
@@ -149,7 +155,6 @@ class ComplexSlice:
     sizes: tuple[int, ...]
     boundaries: tuple[SparseIntMatrix, ...]
     modulus: int = 0
-    reduced: bool = False
 
     def d(self, n: int) -> SparseIntMatrix:
         if n == 0:
@@ -158,24 +163,22 @@ class ComplexSlice:
             raise ValueError(f"boundary d_{n} not available (max degree {self.max_degree})")
         return self.boundaries[n - 1]
 
-    def reduced_copy(self) -> "ComplexSlice":
-        """Replace degree 0 by 0; valid because d_1 is always the zero map here."""
-        if self.reduced or self.sizes[0] == 0:
-            return replace(self, reduced=True)
-        if self.max_degree >= 1 and not self.boundaries[0].is_zero():
-            raise ValueError("cannot reduce: d_1 is not zero")
-        sizes = (0,) + self.sizes[1:]
-        bnds = list(self.boundaries)
-        if bnds:
-            bnds[0] = SparseIntMatrix.zero(0, self.sizes[1])
-        return replace(self, sizes=sizes, boundaries=tuple(bnds), reduced=True)
-
     def __repr__(self):
         return f"ComplexSlice({self.name}, sizes={list(self.sizes)}, modulus={self.modulus})"
 
 
-def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0,
-                  reduced=False) -> ComplexSlice:
+def dd_zero(slice_: ComplexSlice) -> bool:
+    """d_{n-1} . d_n = 0 for every n, over the slice's ring."""
+    for n in range(2, slice_.max_degree + 1):
+        prod = slice_.d(n - 1).mul(slice_.d(n))
+        if slice_.modulus:
+            prod = prod.to_mod(slice_.modulus)
+        if not prod.is_zero():
+            return False
+    return True
+
+
+def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0) -> ComplexSlice:
     sizes = tuple(sizes)
     boundaries = tuple(boundaries)
     if len(sizes) != max_degree + 1 or len(boundaries) != max_degree:
@@ -185,13 +188,10 @@ def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0,
         if (d.rows, d.cols) != (sizes[n - 1], sizes[n]):
             raise ValueError(f"d_{n} has shape {d.rows}x{d.cols}, expected "
                              f"{sizes[n - 1]}x{sizes[n]}")
-    for n in range(2, max_degree + 1):
-        prod = boundaries[n - 2].mul(boundaries[n - 1])
-        if modulus:
-            prod = prod.to_mod(modulus)
-        if not prod.is_zero():
-            raise InternalCheckError(f"d_{n - 1} . d_{n} != 0 in {name}")
-    return ComplexSlice(name, kind, max_degree, sizes, boundaries, modulus, reduced)
+    slice_ = ComplexSlice(name, kind, max_degree, sizes, boundaries, modulus)
+    if not dd_zero(slice_):
+        raise InternalCheckError(f"d . d != 0 in {name}")
+    return slice_
 
 
 @dataclass(frozen=True)
@@ -209,12 +209,6 @@ class ChainMap:
 
     def mat(self, n: int) -> SparseIntMatrix:
         return self.mats[n]
-
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other."""
-        top = min(self.max_degree, other.max_degree)
-        mats = tuple(self.mats[n].mul(other.mats[n]) for n in range(top + 1))
-        return make_chain_map(f"{self.name}.{other.name}", other.source, self.target, mats)
 
 
 def make_chain_map(name: str, source: ComplexSlice, target: ComplexSlice,
@@ -483,7 +477,7 @@ def quotient_complex_D(action: GroupAction, max_degree: int,
         sizes = [0] * (max_degree + 1)
         bnds = [SparseIntMatrix.zero(0, 0) for _ in range(max_degree)]
         return _finish_slice(f"norm-cokernel({action.g.name})", "quotient", max_degree,
-                             sizes, bnds, modulus=0, reduced=True)
+                             sizes, bnds)
     keep: list[list[int]] = [[]]  # degree 0 is zero
     for n in range(1, max_degree + 1):
         data = tuple_orbits(action, n)
@@ -497,7 +491,7 @@ def quotient_complex_D(action: GroupAction, max_degree: int,
                    for j in keep[n]]
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"norm-cokernel({action.q.name} on {action.g.name})", "quotient",
-                         max_degree, sizes, boundaries, modulus=p, reduced=True)
+                         max_degree, sizes, boundaries, modulus=p)
 
 
 def quotient_chain_map(action: GroupAction, max_degree: int,
@@ -726,7 +720,11 @@ def find_equivariant_coset_reps(g: FiniteGroup, k: Subgroup, action: GroupAction
 
 @dataclass(frozen=True)
 class InvariantSES:
-    """0 -> C(orbit space) -> C(G)^Q -> coker(N) -> 0, reduced degreewise."""
+    """0 -> C(orbit space) -> C(G)^Q -> coker(N) -> 0 on the built complexes.
+
+    The sequence is exact in every degree, degree 0 included: N_0 is the
+    identity of Z and D_0 = 0.  In degrees >= 1 it is the reduced sequence.
+    """
 
     action: GroupAction
     max_degree: int
@@ -749,18 +747,11 @@ def invariant_ses(action: GroupAction, max_degree: int,
                   memory_budget: int | None = None) -> InvariantSES:
     if not _is_prime(action.q.order):
         raise GroupConstructionError("the norm-cokernel sequence needs prime |Q|")
-    coinv = coinvariant_complex(action, max_degree, memory_budget).reduced_copy()
-    inv = invariant_complex(action, max_degree, memory_budget).reduced_copy()
-    dq = quotient_complex_D(action, max_degree, memory_budget)
-    p = dq.modulus or action.q.order
-
-    norm_full = norm_chain_map(action, max_degree, memory_budget)
-    proj_full = quotient_chain_map(action, max_degree, memory_budget)
-    norm_mats = [SparseIntMatrix.zero(0, 0)] + list(norm_full.mats[1:])
-    proj_mats = [SparseIntMatrix.zero(dq.sizes[0], 0)] + list(proj_full.mats[1:])
-    norm = make_chain_map("norm", coinv, inv, norm_mats)
-    project = make_chain_map("norm-quotient", inv, dq, proj_mats)
-    return InvariantSES(action, max_degree, coinv, inv, dq, norm, project, p)
+    norm = norm_chain_map(action, max_degree, memory_budget)
+    project = quotient_chain_map(action, max_degree, memory_budget)
+    dq = project.target
+    return InvariantSES(action, max_degree, norm.source, norm.target, dq, norm, project,
+                        dq.modulus or action.q.order)
 
 
 def s1_counterexample_complex() -> ComplexSlice:

@@ -236,10 +236,22 @@ def cmd_classical(args) -> int:
     return EXIT_OK
 
 
+def _check_printable(count: int, args, g: FiniteGroup) -> None:
+    """Refuse a count with more digits than Python prints an int with."""
+    try:
+        str(count)
+    except ValueError:
+        raise SpecParseError(f"--max-degree {args.max_degree} gives counts too long to "
+                             f"print ({g.order}^{args.max_degree + 1} tuples)") from None
+
+
 def cmd_info(args) -> int:
     g = parse_group_spec(args.group, _parse_budget(args.memory_budget))
     action = parse_action_spec(args.action, g)
     n_build = args.max_degree + 1
+    # the largest counts are the top tuple count, checked before any count
+    # is made, and the byte estimate
+    _check_printable(g.order ** n_build, args, g)
     sub = fixed_subgroup(action)
     degrees = []
     prev_orbits = 1
@@ -261,6 +273,7 @@ def cmd_info(args) -> int:
         "estimated_build_bytes": estimate_build_bytes([row["orbits"] for row in degrees]),
         "degrees": degrees,
     }
+    _check_printable(payload["estimated_build_bytes"], args, g)
 
     def render(p):
         print(f"group {p['group']}, action {p['action']}")

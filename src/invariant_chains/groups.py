@@ -233,14 +233,6 @@ def make_action(q: FiniteGroup, g: FiniteGroup,
     return _validate_action(q, g, [known[i] for i in range(q.order)])
 
 
-def negation_action(n: int) -> GroupAction:
-    """Z/2 acting on Z/n by x -> -x."""
-    g = make_cyclic(n)
-    q = make_cyclic(2)
-    neg = tuple((-x) % n for x in range(n))
-    return make_action(q, g, {1: neg})
-
-
 def inversion_action(g: FiniteGroup) -> GroupAction:
     """Z/2 acting on an abelian group by inversion."""
     if not g.is_abelian():
@@ -248,6 +240,11 @@ def inversion_action(g: FiniteGroup) -> GroupAction:
     q = make_cyclic(2)
     neg = tuple(g.inv(x) for x in g.elements())
     return make_action(q, g, {1: neg})
+
+
+def negation_action(n: int) -> GroupAction:
+    """Z/2 acting on Z/n by x -> -x."""
+    return inversion_action(make_cyclic(n))
 
 
 def trivial_action(g: FiniteGroup, q: FiniteGroup | None = None) -> GroupAction:

@@ -8,15 +8,13 @@ of the boundaries mod p; for composite m the universal-coefficient formula
 on the integral profile is used.  For prime coefficients both routes run
 and must agree.
 
-Each boundary matrix is eliminated once per ring: its invariant factors
-over Z, or its rank over Z/p.  A profile eliminates d_1, d_2, ... in order,
-and d_{n+1} skips the rows that d_n cleared in the same ring (see
-`linalg`), so the field pass stays independent of the integral one.  The
-result does not depend on the rows skipped, so the memo of `chains` keeps
-it with the matrix and its cleared columns, and slices that share a
-boundary object (the reduced copies of `invariant_ses`) share its
-elimination.  The memo keeps each profile, keyed by the slice object and
-the coefficients, until `chains.clear_caches()`.
+A profile eliminates each boundary once: its invariant factors over Z, or
+its rank over Z/p.  It takes d_1, d_2, ... in order, and d_{n+1} skips the
+rows that d_n cleared in the same ring (see `linalg`), so the field pass
+stays independent of the integral one.  The memo of `chains` keeps each
+profile, keyed by the slice object and the coefficients, until
+`chains.clear_caches()`; no two slices share a boundary, so each boundary
+is eliminated once per ring.
 
 Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
 in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .chains import ChainMap, ComplexSlice, InvariantSES, _is_prime, _memo, \
-    _tuple_maps, clear_caches
+    _tuple_maps, clear_caches, dd_zero
 from .errors import InternalCheckError
 from .groups import GroupAction
 from .linalg import (AbelianHom, FgAbelianGroup, FgSubgroup, SparseIntMatrix, _SnfEngine,
@@ -88,8 +86,11 @@ class HomologyProfile:
         if self.mode in ("int", "field"):
             data, cleared = [() if self.mode == "int" else 0], ()
             for d in slice_.boundaries:
-                result, cleared = _eliminated(d, self.coeff, cleared)
-                data.append(result)
+                skip, cleared = cleared, []
+                if self.coeff:
+                    data.append(rank_mod_p(d, self.coeff, skip_rows=skip, cleared=cleared))
+                else:
+                    data.append(invariant_factors(d, skip_rows=skip, cleared=cleared))
             self._boundary_data = tuple(data)
         self._groups = {n: self._compute_group(n) for n in range(self.top_degree + 1)}
         if self.mode == "field" and self._integral is not None:
@@ -197,21 +198,6 @@ class HomologyProfile:
         return f"HomologyProfile({self.slice.name}; {self.coeff_str}; {parts})"
 
 
-def _eliminated(d: SparseIntMatrix, mod: int, skip_rows: Sequence[int]):
-    """Invariant factors (mod 0) or rank over Z/mod of d, and its cleared columns.
-
-    Computed once per matrix object: the result does not depend on
-    `skip_rows`, which must be cleared columns of the boundary before d.
-    """
-    key = ("eliminated", id(d), mod)
-    if key not in _memo:  # the entry holds d, so its id is not reused while it lives
-        cleared: list[int] = []
-        result = (rank_mod_p(d, mod, skip_rows=skip_rows, cleared=cleared) if mod
-                  else invariant_factors(d, skip_rows=skip_rows, cleared=cleared))
-        _memo[key] = (d, result, cleared)
-    return _memo[key][1:]
-
-
 def homology(slice_: ComplexSlice, coefficients: int = COEFF_Z) -> HomologyProfile:
     """Homology of a slice over Z (coefficients=0) or Z/m, kept in the chains memo."""
     key = ("homology", slice_, coefficients)
@@ -220,7 +206,8 @@ def homology(slice_: ComplexSlice, coefficients: int = COEFF_Z) -> HomologyProfi
     return _memo[key]
 
 
-# the old name of chains.clear_caches, still called by perfbench/workloads.py
+# the old name of chains.clear_caches, still called by perfbench/workloads.py,
+# which also calls chains.dd_zero, imported above, as homology.dd_zero
 clear_profile_cache = clear_caches
 
 
@@ -306,9 +293,8 @@ def connecting_homomorphism(ses: InvariantSES, n: int) -> AbelianHom:
             if s == 0 or val % s:
                 raise InternalCheckError("boundary of lift is not in the norm image")
             y[j] = val // s
-        if n - 1 >= 1:
-            if any(ses.coinvariants.d(n - 1).mul_vec(y)):
-                raise InternalCheckError("pulled-back chain is not a cycle")
+        if any(ses.coinvariants.d(n - 1).mul_vec(y)):
+            raise InternalCheckError("pulled-back chain is not a cycle")
         return coinv_prof.reduce(n - 1, y)
 
     cols = []
@@ -389,7 +375,12 @@ def exactness_check(node: LesNode) -> ExactnessReport:
 
 
 def invariant_les(ses: InvariantSES, top_degree: int) -> LesNode:
-    """The reduced long exact sequence of the norm cokernel, degrees top..1."""
+    """The long exact sequence of the norm cokernel, degrees top..1, ending at H_0.
+
+    The last node is H_0(orbit space) = Z and the connecting map into it is
+    zero, because N_0 is an isomorphism.  In degrees >= 1 the sequence is the
+    reduced one, hence the H~ labels there.
+    """
     if top_degree + 1 > ses.max_degree:
         raise ValueError("sequence needs boundaries one degree above its top")
     coinv_prof = homology(ses.coinvariants)
@@ -411,7 +402,8 @@ def invariant_les(ses: InvariantSES, top_degree: int) -> LesNode:
         maps.append(induced_map(ses.project, inv_prof, d_prof, n))
         push(f"h_{n}(coker N)", d_prof.group(n))
         maps.append(connecting_homomorphism(ses, n))
-        push(f"H~_{n - 1}(orbit space)", coinv_prof.group(n - 1))
+        push(f"H~_{n - 1}(orbit space)" if n > 1 else "H_0(orbit space)",
+             coinv_prof.group(n - 1))
     return LesNode(labels, groups, maps)
 
 
@@ -449,14 +441,3 @@ def uct_crosscheck(slice_: ComplexSlice, primes: Sequence[int] = (2, 3, 5)) -> l
             records.append(UctRecord(n, p, len(field.group(n).torsion),
                                      len(field.uct_groups[n].torsion)))
     return records
-
-
-def dd_zero(slice_: ComplexSlice) -> bool:
-    """Re-verify d.d = 0 (also enforced at construction)."""
-    for n in range(2, slice_.max_degree + 1):
-        prod = slice_.d(n - 1).mul(slice_.d(n))
-        if slice_.modulus:
-            prod = prod.to_mod(slice_.modulus)
-        if not prod.is_zero():
-            return False
-    return True

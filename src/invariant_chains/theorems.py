@@ -239,10 +239,9 @@ def suite_n_0_mod_4(s: int, max_degree: int = 5) -> VerificationReport:
 
     # the projection onto the norm cokernel is split surjective in each degree
     ses = invariant_ses(action, n_build)
-    inv_prof = homology(ses.invariants)
     d_prof = homology(ses.quotient)
     for deg in range(1, max_degree + 1):
-        p_star = induced_map(ses.project, inv_prof, d_prof, deg)
+        p_star = induced_map(ses.project, prof, d_prof, deg)
         surj = image_of_hom(p_star).order() == d_prof.group(deg).order()
         report.check(f"projection onto coker(N) homology surjective, degree {deg}", surj)
         hq = prof.group(deg)
@@ -301,8 +300,8 @@ def suite_structure(action: GroupAction, max_degree: int = 4,
         sub = fixed_subgroup(action)
         dq = quotient_complex_D(action, n_build)
         d_prof = homology(dq)
-        sub_bar = bar_complex(sub.as_group(), n_build).reduced_copy()
-        sub_prof = homology(sub_bar, p)
+        # reduced and unreduced homology agree in the degrees >= 1 compared
+        sub_prof = homology(bar_complex(sub.as_group(), n_build), p)
         for deg in range(1, max_degree + 1):
             report.expect(f"coker(N) homology is reduced mod-{p} homology of the "
                           f"fixed subgroup, degree {deg}",
@@ -316,11 +315,9 @@ def suite_structure(action: GroupAction, max_degree: int = 4,
                          f"|image| {rec.image_order}, |kernel| {rec.kernel_order}")
         if sub.order == 1:
             coinv_prof = homology(ses.coinvariants)
-            inv_red_prof = homology(ses.invariants)
             for deg in range(1, max_degree + 1):
                 report.expect(f"orbit space homology equals invariant homology, "
-                              f"degree {deg}", coinv_prof.group(deg),
-                              inv_red_prof.group(deg))
+                              f"degree {deg}", coinv_prof.group(deg), prof.group(deg))
     return report
 
 

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invariant_chains
-from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boundary, _memo,
-                                     _orbit_coords, bar_boundary, bar_complex,
-                                     burnside_orbit_count,
-                                     clear_caches, coinvariant_complex, decode_tuple,
+from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boundary,
+                                     _finish_slice, _memo, _orbit_coords, bar_boundary,
+                                     bar_complex, burnside_orbit_count,
+                                     clear_caches, coinvariant_complex, dd_zero, decode_tuple,
                                      encode_tuple, estimate_build_bytes,
                                      fixed_inclusion_chain_map, invariant_complex,
                                      invariant_inclusion_chain_map,
@@ -22,13 +22,14 @@ from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boun
                                      quotient_chain_map, quotient_complex_D,
                                      s1_counterexample_complex, subgroup_bar_inclusion,
                                      subgroup_invariant_inclusion, tuple_orbits)
-from invariant_chains.errors import BudgetExceededError, GroupConstructionError
+from invariant_chains.errors import BudgetExceededError, GroupConstructionError, \
+    InternalCheckError
 from invariant_chains.groups import (_validate_group, action_from_permutations,
                                      generated_subgroup, make_cyclic, make_product,
                                      negation_action, parse_action_spec, parse_group_spec,
                                      trivial_action)
 from invariant_chains.homology import homology
-from invariant_chains.linalg import smith_normal_form
+from invariant_chains.linalg import SparseIntMatrix, smith_normal_form
 
 
 def test_bar_boundary_examples():
@@ -196,13 +197,15 @@ def test_s1_counterexample_complex():
     assert s1.max_degree == 2
 
 
-def test_reduced_copy():
-    act = negation_action(4)
-    inv = invariant_complex(act, 3)
-    red = inv.reduced_copy()
-    assert red.sizes[0] == 0 and red.sizes[1:] == inv.sizes[1:]
-    assert red.d(1).rows == 0
-    assert red.reduced
+def test_slice_with_nonzero_dd_is_refused_at_construction():
+    d1 = SparseIntMatrix.from_dense([[1, 1]])
+    d2 = SparseIntMatrix.from_dense([[1], [1]])
+    with pytest.raises(InternalCheckError, match=r"d \. d != 0 in broken"):
+        _finish_slice("broken", "test", 2, (1, 2, 1), (d1, d2))
+    # the same boundaries compose to 0 over Z/2
+    assert dd_zero(_finish_slice("mod-2", "test", 2, (1, 2, 1), (d1, d2), modulus=2))
+    # homology re-exports the one check
+    assert importlib.import_module("invariant_chains.homology").dd_zero is dd_zero
 
 
 def test_invariant_ses_requires_prime_q():

@@ -154,7 +154,12 @@ def test_bad_specs_exit_2(capsys):
                  ["verify", "structure", "--group", "cyclic:4", "--coeff-a", "2",
                   "--max-degree", "3"],
                  ["compute", "--group", "cyclic:4", "--memory-budget=0"],
-                 ["compute", "--group", "cyclic:4", "--memory-budget=-1G"]):
+                 ["compute", "--group", "cyclic:4", "--memory-budget=-1G"],
+                 # counts with more digits than an int prints by default: 3^10001
+                 # tuples; 2^14280 tuples print, but their byte estimate does not
+                 *(["info", "--group", group, "--max-degree", degree, "--format", fmt]
+                   for group, degree in (("cyclic:3", "10000"), ("cyclic:2", "14279"))
+                   for fmt in ("table", "json"))):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: "), argv

@@ -103,6 +103,16 @@ def test_negation_action_examples():
     assert orbits == {(0,), (1, 4), (2, 3)}
 
 
+def test_negation_action_is_inversion_on_cyclic():
+    # equal actions are one memo key
+    for n in range(1, 30):
+        g = make_cyclic(n)
+        act = negation_action(n)
+        assert act == inversion_action(g)
+        assert act == make_action(make_cyclic(2), g, {1: tuple((-x) % n for x in range(n))})
+        assert hash(act) == hash(inversion_action(g))
+
+
 def test_fixed_subgroup_examples():
     assert fixed_subgroup(negation_action(4)).members == (0, 2)
     assert fixed_subgroup(negation_action(5)).members == (0,)

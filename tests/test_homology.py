@@ -5,10 +5,10 @@ import importlib
 
 import pytest
 
-from invariant_chains.chains import (ComplexSlice, _memo, bar_complex, clear_caches,
+from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
                                      coinvariant_complex, invariant_complex,
                                      invariant_inclusion_chain_map, invariant_ses,
-                                     fixed_inclusion_chain_map,
+                                     fixed_inclusion_chain_map, norm_chain_map,
                                      quotient_complex_D, s1_counterexample_complex,
                                      subgroup_bar_inclusion)
 from invariant_chains.errors import InternalCheckError
@@ -162,6 +162,20 @@ def test_les_exact_for_z4():
     assert "h_2(coker N)" in labels and "H~_1(invariants)" in labels
 
 
+def test_invariant_ses_is_made_of_the_built_complexes():
+    act = negation_action(4)
+    ses = invariant_ses(act, 4)
+    assert ses.invariants is invariant_complex(act, 4)
+    assert ses.coinvariants is coinvariant_complex(act, 4)
+    assert ses.quotient is quotient_complex_D(act, 4)
+    assert ses.norm.mats == norm_chain_map(act, 4).mats
+    les = invariant_les(ses, 3)
+    assert les.labels[-1] == "H_0(orbit space)"
+    assert les.groups[-1] == FgAbelianGroup(1, ())
+    assert les.maps[-1].is_zero_map()
+    assert exactness_check(les).ok
+
+
 def test_exactness_negative_control():
     # corrupt one map of an exact sequence: report must flag it
     ses = invariant_ses(negation_action(4), 4)
@@ -180,8 +194,7 @@ def test_quotient_homology_matches_fixed_subgroup_reduced():
     for n in (4, 6):
         act = negation_action(n)
         d_prof = homology(quotient_complex_D(act, 4))
-        sub_bar = bar_complex(make_cyclic(2), 4).reduced_copy()
-        sub_prof = homology(sub_bar, 2)
+        sub_prof = homology(bar_complex(make_cyclic(2), 4), 2)
         for deg in range(1, 4):
             assert d_prof.group(deg) == sub_prof.group(deg)
 
@@ -336,13 +349,3 @@ def test_profiles_eliminate_each_boundary_once(monkeypatch):
         calls.clear()
         homology(inv, coeff)  # the Z/3 profile reuses the Z profile from the memo
         assert [(n, id(m)) for n, m in calls] == [(name, id(d)) for d in inv.boundaries]
-    # a reduced copy shares d_2..d_5 with its complex, and with them their
-    # eliminations; only its new zero d_1 is eliminated
-    ses = invariant_ses(negation_action(6), 5)
-    assert all(a is b for a, b in zip(ses.invariants.boundaries[1:], inv.boundaries[1:]))
-    for coeff, name in ((0, "invariant_factors"), (3, "rank_mod_p")):
-        calls.clear()
-        homology(ses.invariants, coeff)
-        assert [(n, id(m)) for n, m in calls] == [(name, id(ses.invariants.boundaries[0]))]
-    # the memo holds each eliminated matrix, so its id is not reused meanwhile
-    assert all(_memo[("eliminated", id(d), 0)][0] is d for d in inv.boundaries)
