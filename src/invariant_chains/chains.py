@@ -15,7 +15,12 @@ tables its image in K under each coset representative.  The tuple functions
 (`bar_boundary`, `orbit_members`, `_expand_orbit_boundary` and the tuple
 codec) are only the reference for the tests and the divisible suite.
 
-Every slice is checked for d.d = 0 by `dd_zero` as it is built.  The norm
+Each boundary column is assembled in one loop: `_face_sum` adds every face
+of every tuple of the column (one tuple, or the members of one orbit) into
+one dict, with the signs of the faces fixed once per degree.
+
+Every slice is checked for d.d = 0 by `dd_zero` as it is built, and every
+chain map for commutation with d by `commutes`.  The norm
 sequence `invariant_ses` is made of the built complexes and maps themselves:
 N_0 is the identity of Z and D_0 = 0, so it is exact in degree 0 too, and in
 degrees >= 1 it is the reduced sequence.
@@ -83,12 +88,13 @@ def bar_boundary(g: FiniteGroup, t: BarTuple) -> dict[BarTuple, int]:
     return acc
 
 
-def _face_tables(g: FiniteGroup, n: int) -> list[array]:
-    """faces[k][i]: the k-th face of degree-n tuple i, k = 0..n, by mixed radix.
+def _face_tables(g: FiniteGroup, n: int) -> list[tuple[array, int]]:
+    """(faces[k], sign of face k): faces[k][i] is the k-th face of degree-n tuple i.
 
     Face 0 is i % |G|^(n-1), face n is i // |G|; face k in between merges
-    entries a, b at k-1, k into mul_table[a][b], in that order.  Tables are
-    int arrays: a list would leave its int objects' memory behind when freed.
+    entries a, b at k-1, k into mul_table[a][b], in that order.  Face k has
+    sign (-1)^k in the boundary.  Tables are int arrays: a list would leave
+    its int objects' memory behind when freed.
     """
     order = g.order
     below = order ** (n - 1)
@@ -98,7 +104,7 @@ def _face_tables(g: FiniteGroup, n: int) -> list[array]:
         faces.append(array("q", [(h + m) * w + lo for h in range(0, order ** k, order)
                                  for row in g.mul_table for m in row for lo in range(w)]))
     faces.append(array("q", [j for j in range(below) for _ in range(order)]))
-    return faces
+    return [(f, -1 if k % 2 else 1) for k, f in enumerate(faces)]
 
 
 def _tuple_maps(maps: Sequence[Sequence[int]], order: int, n: int) -> list[Sequence[int]]:
@@ -121,18 +127,23 @@ def _accumulate(acc: dict[int, int], items) -> dict[int, int]:
     return acc
 
 
-def _face_sum(faces: list[array], i: int) -> dict[int, int]:
-    """The boundary of tuple i read off its face tables, in bar_boundary's order."""
+def _face_sum(faces: list[tuple[array, int]], tuples: Iterable[int],
+              rows: Sequence[int] | None = None) -> dict[int, int]:
+    """The boundary of the sum of `tuples`, read off the signed face tables.
+
+    Each face f lands in row f, or in row rows[f] when `rows` is given.
+    Every face of every tuple is added into one dict in one loop.
+    """
     acc: dict[int, int] = {}
-    sign = 1
-    for f in faces:
-        r = f[i]
-        v = acc.get(r, 0) + sign
-        if v:
-            acc[r] = v
-        else:
-            del acc[r]
-        sign = -sign
+    get = acc.get
+    for i in tuples:
+        for f, sign in faces:
+            r = f[i] if rows is None else rows[f[i]]
+            v = get(r, 0) + sign
+            if v:
+                acc[r] = v
+            else:
+                del acc[r]
     return acc
 
 
@@ -178,6 +189,16 @@ def dd_zero(slice_: ComplexSlice) -> bool:
     return True
 
 
+def commutes(f: ChainMap, n: int) -> bool:
+    """d_n . f_n = f_{n-1} . d_n, over the target's ring."""
+    lhs = f.target.d(n).mul(f.mats[n])
+    rhs = f.mats[n - 1].mul(f.source.d(n))
+    modulus = f.target.modulus
+    if modulus:
+        lhs, rhs = lhs.to_mod(modulus), rhs.to_mod(modulus)
+    return lhs == rhs
+
+
 def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0) -> ComplexSlice:
     sizes = tuple(sizes)
     boundaries = tuple(boundaries)
@@ -218,18 +239,14 @@ def make_chain_map(name: str, source: ComplexSlice, target: ComplexSlice,
         raise ValueError("chain map exceeds slice degrees")
     if source.modulus and source.modulus != target.modulus:
         raise ValueError("chain map cannot leave a mod-p complex")
-    modulus = target.modulus
     for n, m in enumerate(mats):
         if (m.rows, m.cols) != (target.sizes[n], source.sizes[n]):
             raise ValueError(f"degree-{n} matrix has wrong shape")
+    f = ChainMap(name, source, target, tuple(mats))
     for n in range(1, top + 1):
-        lhs = target.d(n).mul(mats[n])
-        rhs = mats[n - 1].mul(source.d(n))
-        if modulus:
-            lhs, rhs = lhs.to_mod(modulus), rhs.to_mod(modulus)
-        if lhs != rhs:
+        if not commutes(f, n):
             raise InternalCheckError(f"{name} does not commute with d at degree {n}")
-    return ChainMap(name, source, target, tuple(mats))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +373,8 @@ def bar_complex(g: FiniteGroup, max_degree: int,
     boundaries = []
     for n in range(1, max_degree + 1):
         faces = _face_tables(g, n)
-        columns = [_face_sum(faces, col) for col in range(sizes[n])]
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
+        columns = [_face_sum(faces, (col,)) for col in range(sizes[n])]
+        boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"bar({g.name})", "bar", max_degree, sizes, boundaries)
 
 
@@ -379,16 +396,16 @@ def _expand_orbit_boundary(action: GroupAction, n: int, rep: int) -> dict[int, i
 
 
 def _orbit_coords(acc: dict[int, int], lower: OrbitData, what: str) -> dict[int, int]:
-    """Convert a Q-invariant tuple chain to orbit-sum coordinates."""
+    """Convert a Q-invariant tuple chain, zeros not stored, to orbit-sum coordinates."""
     out: dict[int, int] = {}
+    orbit_of, reps = lower.orbit_of, lower.reps
     for key, coeff in acc.items():
-        pos = lower.orbit_of[key]
-        rep_coeff = acc.get(lower.reps[pos], 0)
-        if coeff != rep_coeff:
+        pos = orbit_of[key]
+        if coeff != acc.get(reps[pos], 0):
             raise InternalCheckError(
                 f"{what}: boundary coefficients not constant on an orbit")
-        out[pos] = rep_coeff
-    return {k: v for k, v in out.items() if v}
+        out[pos] = coeff
+    return out
 
 
 @_memoized
@@ -401,13 +418,11 @@ def invariant_complex(action: GroupAction, max_degree: int,
     for n in range(1, max_degree + 1):
         faces = _face_tables(action.g, n)
         moves = _tuple_maps(action.perm, action.g.order, n)
-        columns = []
-        for rep in data[n].reps:
-            acc: dict[int, int] = {}
-            for mem in sorted({m[rep] for m in moves}):
-                _accumulate(acc, _face_sum(faces, mem).items())
-            columns.append(_orbit_coords(acc, data[n - 1], "invariant complex"))
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
+        lower = data[n - 1]
+        columns = [_orbit_coords(_face_sum(faces, {m[rep] for m in moves}), lower,
+                                 "invariant complex")
+                   for rep in data[n].reps]
+        boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"invariant({action.q.name} on {action.g.name})", "invariant",
                          max_degree, sizes, boundaries)
 
@@ -422,9 +437,8 @@ def coinvariant_complex(action: GroupAction, max_degree: int,
     for n in range(1, max_degree + 1):
         faces = _face_tables(action.g, n)
         orbit_of = data[n - 1].orbit_of
-        columns = [_accumulate({}, ((orbit_of[r], c) for r, c in _face_sum(faces, rep).items()))
-                   for rep in data[n].reps]
-        boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
+        columns = [_face_sum(faces, (rep,), orbit_of) for rep in data[n].reps]
+        boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
     return _finish_slice(f"coinvariant({action.q.name} on {action.g.name})", "coinvariant",
                          max_degree, sizes, boundaries)
 

@@ -38,14 +38,19 @@ step, one run of extended Euclid on the two lines through a and b; see
 `_SnfEngine._gcd_step`.  Over Z/p every nonzero pivot is a unit, so gcd
 steps happen only over Z.
 
-Only the working matrix carries a cross index (for each column, the set of
-rows with an entry there): its column operations reach rows through it, and
-the pivot queue reads the column counts off it.  The transforms U, U^-1, V
-and V^-1 receive only whole-line operations and are read line by line, so
-they are plain lists of dicts.  While the pivot column holds only the
-pivot row, a column operation of the pivot-row clear can only delete one
-entry of that row, so the engine deletes it directly and replays the
-operation on V and V^-1 alone.
+Only the working matrix carries a cross index (for each column, the rows
+with an entry there): its column operations reach rows through it, and the
+pivot queue reads the column counts off it.  The transforms U, U^-1, V and
+V^-1 receive only whole-line operations and are read line by line, so they
+are plain lists of dicts.  While the pivot column holds only the pivot row,
+a column operation of the pivot-row clear can only delete one entry of that
+row, so the engine deletes it directly and replays the operation on V and
+V^-1 alone.  When moreover the pivot is a unit and neither V nor V^-1 is
+kept, every entry of the row is such a deletion (a unit divides every
+entry) and nothing replays it, so the engine drops the row's other entries
+in one step: a reduction pair in the sense of Kaczynski, Mrozek and
+Slusarek (1998).  The matrix, U, U^-1 and every later pivot are the same as
+with one column operation per entry.
 
 There is one sparse format: a `SparseIntMatrix` keeps one {row: value} dict
 per column, as a column-kept `_Lines` does.  So V, U^-1 and kernel bases
@@ -294,19 +299,21 @@ class _Lines:
 
 
 class _IndexedLines(_Lines):
-    """`_Lines` plus `cross[j]`, the set of lines with an entry at position j.
+    """`_Lines` plus `cross[j]`, the lines with an entry at position j.
 
     The engine's working matrix is kept by rows: its row operations are line
     operations, and its column operations are cross operations, which reach
     the rows that hold a position through the index.  The index also gives
     the column counts that pivoting reads.  Line operations keep it exact.
+    Each `cross[j]` is a dict with the lines as keys and None as values: a
+    set of the same lines takes more memory than the row dicts it indexes.
     """
 
     __slots__ = ("cross",)
 
     def __init__(self, n: int, mod: int = 0):
         super().__init__(n, mod)
-        self.cross: dict[int, set[int]] = defaultdict(set)
+        self.cross: dict[int, dict[int, None]] = defaultdict(dict)
 
     # line operations -----------------------------------------------------
 
@@ -322,11 +329,11 @@ class _IndexedLines(_Lines):
                 nv %= mod
             if nv:
                 if j not in ld:
-                    cross[j].add(dst)
+                    cross[j][dst] = None
                 ld[j] = nv
             elif j in ld:
                 del ld[j]
-                cross[j].discard(dst)
+                del cross[j][dst]
 
     # cross operations ----------------------------------------------------
 
@@ -343,11 +350,11 @@ class _IndexedLines(_Lines):
                 nv %= mod
             if nv:
                 if dst not in line:
-                    cross[dst].add(r)
+                    cross[dst][r] = None
                 line[dst] = nv
             elif dst in line:
                 del line[dst]
-                cross[dst].discard(r)
+                del cross[dst][r]
 
     def cross_negate(self, j: int) -> None:
         # position j = -position j, in every line
@@ -398,13 +405,19 @@ class _SnfEngine:
         self.m = m
         self.mod = mod
         ws = self.ws = _IndexedLines(m.rows, mod)
+        lines = ws.lines
+        cross = ws.cross
         for c, col in enumerate(m.columns):
-            for r, v in col.items():
-                if mod:
-                    v %= mod
-                if v and r not in skip:
-                    ws.lines[r][c] = v
-                    ws.cross[c].add(r)
+            # the stored entries of a matrix are nonzero, so only the
+            # reduction mod p can drop one
+            if mod:
+                col = {r: w for r, v in col.items() if (w := v % mod) and r not in skip}
+            elif skip:
+                col = {r: v for r, v in col.items() if r not in skip}
+            if col:
+                for r, v in col.items():
+                    lines[r][c] = v
+                cross[c] = dict.fromkeys(col)
         # U and V^-1 are kept by rows, U^-1 and V by columns
         self.u = _Lines.identity(m.rows, mod) if want_u else None
         self.u_inv = _Lines.identity(m.rows, mod) if want_u_inv else None
@@ -587,7 +600,7 @@ class _SnfEngine:
             # the tables they grew to while they were cleared
             piv = ws.lines[r0][c0]
             ws.lines[r0] = {c0: piv}
-            ws.cross[c0] = {r0}
+            ws.cross[c0] = {r0: None}
             self.diag.append(piv)
             pivots.append(picked)
         # move D's entry k from (r_k, c_k) to (k, k)
@@ -610,9 +623,10 @@ class _SnfEngine:
     def _clear_position(self, r0: int, c0: int):
         """Make row r0 and column c0 zero except at (r0, c0), which stays nonzero."""
         ws = self.ws
+        cross = ws.cross
         while True:
             # clear column c0 with row ops; each op only removes rows from it
-            for r in sorted(ws.cross[c0]):
+            for r in sorted(cross[c0]):
                 if r == r0:
                     continue
                 a = ws.lines[r0][c0]
@@ -624,22 +638,41 @@ class _SnfEngine:
                     self._gcd_step(r0, r, a, b, self._row_axpy, self._row_negate)
             # clear row r0 with col ops; a gcd step may refill column c0
             row = ws.lines[r0]
+            piv = row[c0]
+            if (len(cross[c0]) == 1 and (self.mod or abs(piv) == 1)
+                    and self.v is None and self.v_inv is None):
+                # a unit alone in its column: each col c -= q * col c0
+                # would only zero the entry (r0, c), and no transform
+                # records it, so drop the row's other entries at once
+                ncols = self.m.cols
+                for c in row:
+                    if c != c0:
+                        rows = cross[c]
+                        del rows[r0]
+                        n = len(rows)
+                        for queue, keyed in self._queues:
+                            if n != keyed[c]:
+                                keyed[c] = n
+                                if n:
+                                    heapq.heappush(queue, n * ncols + c)
+                ws.lines[r0] = {c0: piv}
+                return
             for c in sorted(c for c in row if c != c0):
                 a = row[c0]
                 b = row[c]
                 q = self._quotient(b, a)
-                if q is not None and len(ws.cross[c0]) == 1:
+                if q is not None and len(cross[c0]) == 1:
                     # column c0 holds only row r0, so col c -= q * col c0
                     # can only zero the entry (r0, c)
                     del row[c]
-                    ws.cross[c].discard(r0)
+                    del cross[c][r0]
                     self._rekey(c)
                     self._transform_col_axpy(c0, c, -q)
                 elif q is not None:
                     self._col_axpy(c0, c, -q)
                 else:
                     self._gcd_step(c0, c, a, b, self._col_axpy, self._col_negate)
-            if ws.cross[c0] == {r0}:
+            if len(cross[c0]) == 1:
                 return
 
     def _find_nondivisible(self, piv: int) -> int | None:

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import invariant_chains
+from invariant_chains import chains
 from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boundary,
                                      _finish_slice, _memo, _orbit_coords, bar_boundary,
                                      bar_complex, burnside_orbit_count,
-                                     clear_caches, coinvariant_complex, dd_zero, decode_tuple,
-                                     encode_tuple, estimate_build_bytes,
+                                     clear_caches, coinvariant_complex, commutes, dd_zero,
+                                     decode_tuple, encode_tuple, estimate_build_bytes,
                                      fixed_inclusion_chain_map, invariant_complex,
-                                     invariant_inclusion_chain_map,
-                                     invariant_ses, norm_chain_map, orbit_members,
+                                     invariant_inclusion_chain_map, invariant_ses,
+                                     make_chain_map, norm_chain_map, orbit_members,
                                      quotient_chain_map, quotient_complex_D,
                                      s1_counterexample_complex, subgroup_bar_inclusion,
                                      subgroup_invariant_inclusion, tuple_orbits)
@@ -206,6 +207,35 @@ def test_slice_with_nonzero_dd_is_refused_at_construction():
     assert dd_zero(_finish_slice("mod-2", "test", 2, (1, 2, 1), (d1, d2), modulus=2))
     # homology re-exports the one check
     assert importlib.import_module("invariant_chains.homology").dd_zero is dd_zero
+
+
+def test_invariant_builder_checks_every_orbit_for_constancy(monkeypatch):
+    calls = []
+
+    def counting(acc, lower, what):
+        calls.append(lower.degree)
+        return orbit_coords(acc, lower, what)
+
+    orbit_coords = chains._orbit_coords
+    monkeypatch.setattr(chains, "_orbit_coords", counting)
+    act = negation_action(4)
+    clear_caches()
+    invariant_complex(act, 4)
+    # one call per orbit of each degree n = 1..4, read off the orbits of n - 1
+    assert sorted(calls) == [n - 1 for n in range(1, 5) for _ in range(tuple_orbits(act, n).count)]
+    clear_caches()
+
+
+def test_chain_maps_are_checked_for_commutation():
+    norm = norm_chain_map(negation_action(4), 3)
+    assert all(commutes(norm, n) for n in range(1, 4))
+    # doubling N_2 breaks d_2 . N_2 = N_1 . d_2 first
+    mats = list(norm.mats)
+    mats[2] = SparseIntMatrix._trusted(mats[2].rows, mats[2].cols,
+                                       [{r: 2 * v for r, v in col.items()}
+                                        for col in mats[2].columns])
+    with pytest.raises(InternalCheckError, match="broken does not commute with d at degree 2"):
+        make_chain_map("broken", norm.source, norm.target, mats)
 
 
 def test_invariant_ses_requires_prime_q():

@@ -271,7 +271,7 @@ class _AxpyRowClearEngine(_SnfEngine):
                     self._col_axpy(c0, c, -q)
                 else:
                     self._gcd_step(c0, c, a, b, self._col_axpy, self._col_negate)
-            if ws.cross[c0] == {r0}:
+            if len(ws.cross[c0]) == 1:
                 return
 
 
@@ -289,6 +289,10 @@ def test_direct_pivot_row_clear_matches_col_axpy():
             refilled += ref.refilled
             assert (engine_lines(full_engine(_SnfEngine, m, mod))
                     == engine_lines(ref)), (m, mod)
+            # without transforms a unit pivot alone in its column drops
+            # the rest of its row in one step
+            assert (transform_free_run(_SnfEngine, m, mod)
+                    == transform_free_run(_AxpyRowClearEngine, m, mod)), (m, mod)
     assert refilled > 0
 
 
