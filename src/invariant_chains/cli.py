@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, GroupConstructionError, SpecParseError
 from .groups import (FiniteGroup, Subgroup, fixed_subgroup, generated_subgroup,
                      parse_action_spec, parse_group_spec, trivial_subgroup)
 from .homology import fixed_homology, homology, induced_map
-from .linalg import image_of_hom, kernel_of_hom
+from .linalg import FgAbelianGroup, image_of_hom, kernel_of_hom
 from .theorems import REGISTRY
 
 EXIT_OK = 0
@@ -89,11 +89,6 @@ def _emit(payload: dict, fmt: str, render_table) -> None:
         render_table(payload)
 
 
-def _group_str(row: dict) -> str:
-    parts = ["Z"] * row["free_rank"] + [f"Z/{t}" for t in row["torsion"]]
-    return " + ".join(parts) if parts else "0"
-
-
 def _render_homology_table(payload: dict) -> None:
     for section in ("homology", "orbit_space_homology", "quotient_homology",
                     "fixed_subgroup_homology", "invariant_classes"):
@@ -102,7 +97,8 @@ def _render_homology_table(payload: dict) -> None:
         print(f"{section.replace('_', ' ')} (coefficients {payload['coefficients']}):"
               if section == "homology" else f"{section.replace('_', ' ')}:")
         for row in payload[section]:
-            print(f"  degree {row['degree']:>2}  {_group_str(row)}")
+            group = FgAbelianGroup(row["free_rank"], row["torsion"])
+            print(f"  degree {row['degree']:>2}  {group}")
     if "maps" in payload:
         print("maps:")
         for entry in payload["maps"]:

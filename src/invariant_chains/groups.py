@@ -49,13 +49,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element_order(self, a: int) -> int:
-        n, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def is_abelian(self) -> bool:
         t = self.mul_table
         return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
@@ -147,10 +140,6 @@ class GroupAction:
 
     def apply(self, qi: int, gi: int) -> int:
         return self.perm[qi][gi]
-
-    def apply_tuple(self, qi: int, t: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.perm[qi]
-        return tuple(p[x] for x in t)
 
     def is_trivial(self) -> bool:
         ident = tuple(self.g.elements())
@@ -349,10 +338,6 @@ def generated_subgroup(g: FiniteGroup, gens: Sequence[int]) -> Subgroup:
 
 def trivial_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, (0,))
-
-
-def full_subgroup(g: FiniteGroup) -> Subgroup:
-    return Subgroup(g, tuple(g.elements()))
 
 
 def fixed_subgroup(action: GroupAction) -> Subgroup:

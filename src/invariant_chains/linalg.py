@@ -21,15 +21,20 @@ over Z/p.  The pivot column is the column without a pivot that holds a
 unit and has the fewest nonzeros, ties to the lowest index; in it the pivot
 row is the unit entry of least (row length, magnitude, row index).  When no
 column holds a unit, which happens only over Z, the same rule reads every
-entry as a candidate.  The column comes from a priority queue keyed by
+entry as a candidate.  A unit column comes from a priority queue keyed by
 (nonzero count, column index), re-keyed only for the columns whose counts
 the elementary operations since the last pivot could change, and checked as
-keys reach the top for a column that still holds a candidate; over Z a
-second such queue holds every column and is read once no unit is left.
-Each pivot is eliminated where the queue finds it: no row or column is ever
-moved.  The engine keeps the pivot sequence instead, and orders the lines of
-the transforms once at the end, pivot lines first in pivot order, so that
-D's entries sit at (i, i).
+keys reach the top for a column that still holds a unit.  Once the queue is
+empty, one pass over the live columns makes the choice without a unit.
+That is rare (29 of the 2,768 pivots of the benchmark ladder's integral
+eliminations), and a pivot that stays a non-unit is followed by a scan of
+the live columns for an entry it does not divide anyway, so the pass at
+most doubles a cost that is there already; a second queue would be
+re-keyed on every count change of every run over Z.  Each pivot is
+eliminated where it is found: no row or column is ever moved.  The engine
+keeps the pivot sequence instead, and orders the lines of the transforms
+once at the end, pivot lines first in pivot order, so that D's entries sit
+at (i, i).
 
 The elementary operations are the textbook elementary matrices:
 transvections (add k times one line to another) and sign changes.  Over Z a
@@ -42,13 +47,11 @@ Only the working matrix carries a cross index (for each column, the rows
 with an entry there): its column operations reach rows through it, and the
 pivot queue reads the column counts off it.  The transforms U, U^-1, V and
 V^-1 receive only whole-line operations and are read line by line, so they
-are plain lists of dicts.  While the pivot column holds only the pivot row,
-a column operation of the pivot-row clear can only delete one entry of that
-row, so the engine deletes it directly and replays the operation on V and
-V^-1 alone.  When moreover the pivot is a unit and neither V nor V^-1 is
-kept, every entry of the row is such a deletion (a unit divides every
-entry) and nothing replays it, so the engine drops the row's other entries
-in one step: a reduction pair in the sense of Kaczynski, Mrozek and
+are plain lists of dicts.  When the pivot is a unit alone in its column
+and neither V nor V^-1 is kept, each column operation of the pivot-row
+clear would only delete one entry of that row (a unit divides every entry)
+and nothing records it, so the engine drops the row's other entries in one
+step: a reduction pair in the sense of Kaczynski, Mrozek and
 Slusarek (1998).  The matrix, U, U^-1 and every later pivot are the same as
 with one column operation per entry.
 
@@ -427,20 +430,20 @@ class _SnfEngine:
         self.cleared: list[int] = []
         self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
         self._done = [False] * m.cols
-        # pivot queues: heaps of keys count * cols + c, each checked against
-        # the live count when it reaches the top, with `keyed[c]` the count
-        # column c was last queued with.  Column ops re-key their columns at
+        # the unit queue: a heap of keys count * cols + c, each checked
+        # against the live count when it reaches the top, with `keyed[c]` the
+        # count column c was last queued with.  Column ops re-key their columns at
         # once.  Row ops record their rows, and the supports of those rows
         # are re-keyed before the next choice: every column whose count a row
         # op changes keeps an entry in one of its recorded rows until a later
         # op changes that count again and re-keys or records it in turn.
         # (Collecting the columns themselves into a set that was filled and
         # freed on every pivot raised the peak RSS by several MB.)
-        # The first queue holds the columns that may hold a unit, and over Z
-        # a second one holds every column.  A column the unit queue drops for
-        # holding none gets `keyed[c] = 0` there, so that the column's next
-        # re-key queues it again: a +-1 appears only where an op writes, and
-        # the columns of every op are re-keyed before the next choice.
+        # A column the queue drops for holding no unit gets `keyed[c] = 0`,
+        # so that the column's next re-key queues it again: a +-1 appears
+        # only where an op writes, and the columns of every op are re-keyed
+        # before the next choice.  Once the queue is empty, which happens
+        # only over Z, `_choose_pivot` reads the live columns off `cross`.
         self._rows_touched: set[int] = set()
         self._rebuild_queue()
         self._run()
@@ -466,9 +469,6 @@ class _SnfEngine:
     def _col_axpy(self, src, dst, k):
         self.ws.cross_axpy(src, dst, k)
         self._rekey(dst)
-        self._transform_col_axpy(src, dst, k)
-
-    def _transform_col_axpy(self, src, dst, k):
         if self.v is not None:
             self.v.axpy(src, dst, k)
         if self.v_inv is not None:
@@ -512,11 +512,10 @@ class _SnfEngine:
     def _rekey(self, c: int) -> None:
         """Queue column c again where its count differs from the one last queued."""
         n = len(self.ws.cross.get(c, ()))
-        for queue, keyed in self._queues:
-            if n != keyed[c]:
-                keyed[c] = n
-                if n:
-                    heapq.heappush(queue, n * self.m.cols + c)
+        if n != self._keyed[c]:
+            self._keyed[c] = n
+            if n:
+                heapq.heappush(self._queue, n * self.m.cols + c)
 
     def _rebuild_queue(self) -> None:
         """One key per column without a pivot and with a nonzero count, nothing recorded."""
@@ -529,9 +528,8 @@ class _SnfEngine:
                 keyed[c] = len(rows)
                 queue.append(len(rows) * ncols + c)
         heapq.heapify(queue)
-        self._queues = [(queue, keyed)]
-        if not self.mod:
-            self._queues.append((queue[:], keyed[:]))
+        self._queue = queue
+        self._keyed = keyed
         self._rows_touched.clear()
 
     def _choose_pivot(self) -> tuple[int, int] | None:
@@ -540,36 +538,40 @@ class _SnfEngine:
         cross = ws.cross
         ncols = self.m.cols
         done = self._done
-        queues = self._queues
-        if any(len(queue) > 2 * ncols for queue, _ in queues):
-            self._rebuild_queue()
-            queues = self._queues
-        else:
-            for r in self._rows_touched:
-                for c in lines[r]:
-                    if done[c]:
-                        continue
-                    n = len(cross[c])
-                    for queue, keyed in queues:
-                        if n != keyed[c]:
-                            keyed[c] = n
-                            heapq.heappush(queue, n * ncols + c)
-            self._rows_touched.clear()
-        # the unit queue, then over Z the queue of all columns: the live
-        # column of least key that holds a candidate of magnitude <= bound,
-        # and in it the candidate of least (row length, magnitude, row
-        # index).  Entries over Z/p lie in 1..p-1, so all are units.
-        for (queue, keyed), bound in zip(queues, (self.mod or 1, math.inf)):
-            while queue:
-                n, c = divmod(queue[0], ncols)
-                if not done[c] and len(cross.get(c, ())) == n:
-                    rows = [(len(lines[r]), a, r) for r in cross[c]
-                            if (a := abs(lines[r][c])) <= bound]
-                    if rows:
-                        return min(rows)[2], c
-                    keyed[c] = 0
-                heapq.heappop(queue)
-        return None
+        if len(self._queue) > 2 * ncols:
+            self._rebuild_queue()  # which also clears the recorded rows
+        keyed = self._keyed
+        queue = self._queue
+        for r in self._rows_touched:
+            for c in lines[r]:
+                if done[c]:
+                    continue
+                n = len(cross[c])
+                if n != keyed[c]:
+                    keyed[c] = n
+                    heapq.heappush(queue, n * ncols + c)
+        self._rows_touched.clear()
+        # the live column of least key that holds a unit, and in it the unit
+        # of least (row length, magnitude, row index).  Entries over Z/p lie
+        # in 1..p-1, so all are units.
+        bound = self.mod or 1
+        while queue:
+            n, c = divmod(queue[0], ncols)
+            if not done[c] and len(cross.get(c, ())) == n:
+                rows = [(len(lines[r]), a, r) for r in cross[c]
+                        if (a := abs(lines[r][c])) <= bound]
+                if rows:
+                    return min(rows)[2], c
+                keyed[c] = 0
+            heapq.heappop(queue)
+        # no unit is left, which happens only over Z: one pass over the live
+        # columns for the least (count, index), and in it every entry is a
+        # candidate
+        live = [(len(rows), c) for c, rows in cross.items() if rows and not done[c]]
+        if not live:
+            return None
+        c = min(live)[1]
+        return min((len(lines[r]), abs(lines[r][c]), r) for r in cross[c])[2], c
 
     def _run(self):
         ws = self.ws
@@ -645,30 +647,24 @@ class _SnfEngine:
                 # would only zero the entry (r0, c), and no transform
                 # records it, so drop the row's other entries at once
                 ncols = self.m.cols
+                keyed = self._keyed
+                queue = self._queue
                 for c in row:
                     if c != c0:
                         rows = cross[c]
                         del rows[r0]
                         n = len(rows)
-                        for queue, keyed in self._queues:
-                            if n != keyed[c]:
-                                keyed[c] = n
-                                if n:
-                                    heapq.heappush(queue, n * ncols + c)
+                        if n != keyed[c]:
+                            keyed[c] = n
+                            if n:
+                                heapq.heappush(queue, n * ncols + c)
                 ws.lines[r0] = {c0: piv}
                 return
             for c in sorted(c for c in row if c != c0):
                 a = row[c0]
                 b = row[c]
                 q = self._quotient(b, a)
-                if q is not None and len(cross[c0]) == 1:
-                    # column c0 holds only row r0, so col c -= q * col c0
-                    # can only zero the entry (r0, c)
-                    del row[c]
-                    del cross[c][r0]
-                    self._rekey(c)
-                    self._transform_col_axpy(c0, c, -q)
-                elif q is not None:
+                if q is not None:
                     self._col_axpy(c0, c, -q)
                 else:
                     self._gcd_step(c0, c, a, b, self._col_axpy, self._col_negate)

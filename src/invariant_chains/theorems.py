@@ -409,17 +409,9 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
         for z in zs:
             prod = g.mul(prod, z)
 
-        fam1: dict[tuple[int, int], int] = {}
-        for z in zs:
-            for j in range(1, m):
-                t = (power(z, j), z)
-                fam1[t] = fam1.get(t, 0) + 1
-        expected1: dict[int, int] = {}
-        for z in zs:
-            expected1[z] = expected1.get(z, 0) + m
-            key = power(z, m)
-            expected1[key] = expected1.get(key, 0) - 1
-        expected1 = {k: v for k, v in expected1.items() if v}
+        fam1 = chains._accumulate({}, (((power(z, j), z), 1) for z in zs for j in range(1, m)))
+        expected1 = chains._accumulate({}, (pair for z in zs
+                                            for pair in ((z, m), (power(z, m), -1))))
         report.expect(f"orbit {zs}: boundary of the power family",
                       sorted(expected1.items()),
                       sorted(chain_boundary(fam1).items()))
@@ -428,15 +420,9 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
         w = 0
         for j in range(1, m):
             w = g.mul(w, zs[j - 1])
-            base = (w, zs[j])
-            for qi in witnesses:
-                t = (action.perm[qi][base[0]], action.perm[qi][base[1]])
-                fam2[t] = fam2.get(t, 0) + 1
-        expected2: dict[int, int] = {}
-        for z in zs:
-            expected2[z] = expected2.get(z, 0) + m
-        expected2[prod] = expected2.get(prod, 0) - m
-        expected2 = {k: v for k, v in expected2.items() if v}
+            chains._accumulate(fam2, (((action.perm[qi][w], action.perm[qi][zs[j]]), 1)
+                                      for qi in witnesses))
+        expected2 = chains._accumulate({}, [*((z, m) for z in zs), (prod, -m)])
         report.expect(f"orbit {zs}: boundary of the product family",
                       sorted(expected2.items()),
                       sorted(chain_boundary(fam2).items()))
@@ -451,12 +437,7 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
                 report.check(f"orbit {zs}: {label} family is invariant", False)
 
         # the induced degree-1 relation holds in invariant homology
-        diff: dict[int, int] = {}
-        for z in zs:
-            key = power(z, m)
-            diff[key] = diff.get(key, 0) + 1
-        diff[prod] = diff.get(prod, 0) - m
-        diff = {k: v for k, v in diff.items() if v}
+        diff = chains._accumulate({}, [*((power(z, m), 1) for z in zs), (prod, -m)])
         orbit_vec = [0] * inv.sizes[1]
         for p1, coeff in chains._orbit_coords(diff, data1, "power relation").items():
             orbit_vec[p1] = coeff

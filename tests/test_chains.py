@@ -33,6 +33,12 @@ from invariant_chains.homology import homology
 from invariant_chains.linalg import SparseIntMatrix, smith_normal_form
 
 
+def apply_tuple(action, qi, t):
+    """The tuple t moved by the q-element qi, entry by entry."""
+    p = action.perm[qi]
+    return tuple(p[x] for x in t)
+
+
 def test_bar_boundary_examples():
     z4 = make_cyclic(4)
     assert bar_boundary(z4, (1, 2)) == {(2,): 1, (3,): -1, (1,): 1}
@@ -125,7 +131,7 @@ def test_norm_map_examples():
             expected = {}
             rep = decode_tuple(4, n, data.reps[pos])
             for qi in range(act.q.order):
-                key = encode_tuple(4, act.apply_tuple(qi, rep))
+                key = encode_tuple(4, apply_tuple(act, qi, rep))
                 expected[key] = expected.get(key, 0) + 1
             assert col == expected
 
@@ -358,7 +364,7 @@ def tuple_path_orbits(action, n):
     for idx in range(order ** n):
         if orbit_of[idx] < 0:
             t = decode_tuple(order, n, idx)
-            members = {encode_tuple(order, action.apply_tuple(q, t))
+            members = {encode_tuple(order, apply_tuple(action, q, t))
                        for q in range(action.q.order)}
             for mem in members:
                 orbit_of[mem] = len(reps)

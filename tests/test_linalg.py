@@ -157,7 +157,7 @@ def test_snf_transforms_reproduce_diagonal():
 
 
 class _ScanPivotEngine(_SnfEngine):
-    """Reference: the engine's pivot rule by a linear scan instead of its queues.
+    """Reference: the engine's pivot rule by a linear scan of every entry.
 
     A unit is +-1 over Z and any nonzero entry over Z/p.  The pivot column
     is the column without a pivot of least (nonzero count, index) that holds
@@ -198,6 +198,17 @@ def queue_test_matrices():
         mats.append(SparseIntMatrix.from_entries(rows, cols, {
             (r, c): rng.choice((-3, -2, -1, 1, 2, 3))
             for c in range(cols) for r in rng.sample(range(rows), rng.randint(2, 3))}))
+    # no +-1 at the start, so over Z the first pivot already comes from the
+    # scan of the live columns: non-unit entries only, a diagonal and a band
+    # of 2s
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        mats.append(SparseIntMatrix.from_entries(rows, cols, {
+            (r, c): rng.choice((-6, -4, -3, -2, 2, 3, 4, 6))
+            for r in range(rows) for c in range(cols) if rng.random() < 0.6}))
+    mats.append(SparseIntMatrix.diagonal([2] * 30))
+    mats.append(SparseIntMatrix.from_entries(30, 30, {
+        (r, c): 2 for r in range(30) for c in range(30) if abs(r - c) <= 1}))
     return mats + z4_boundaries()
 
 
@@ -242,7 +253,7 @@ class _AxpyRowClearEngine(_SnfEngine):
     """Reference: the engine whose pivot-row clear always goes through `_col_axpy`.
 
     `refilled` counts the column ops made while a gcd step had refilled
-    the pivot column, where the engine itself must fall back to `_col_axpy`.
+    the pivot column.
     """
 
     refilled = 0
