@@ -148,8 +148,11 @@ class HomologyProfile:
                 bounds = bounds.to_mod(mod)
             if any(col and min(col) < r for col in bounds.columns):
                 raise InternalCheckError("boundary column is not a cycle")
+            # the cycle check puts every index i - r in [0, k), and neither
+            # `mul` nor `to_mod` stores a zero
             relations = [{i - r: v for i, v in col.items()} for col in bounds.columns]
-            presented = present_fg_abelian(k, SparseIntMatrix(k, bounds.cols, relations), mod)
+            presented = present_fg_abelian(
+                k, SparseIntMatrix._trusted(k, bounds.cols, relations), mod)
             if FgAbelianGroup(presented.free_rank, presented.torsion) != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "

@@ -156,13 +156,21 @@ def test_snf_transforms_reproduce_diagonal():
                 assert rank == sympy.Matrix(m.to_dense()).rank(iszerofunc=lambda x: x % p == 0)
 
 
-class _ScanPivotEngine(_SnfEngine):
+class _NoPrePassEngine(_SnfEngine):
+    """The engine without the lone-unit pre-pass: the unit queue takes every pivot."""
+
+    def _take_lone_units(self):
+        pass
+
+
+class _ScanPivotEngine(_NoPrePassEngine):
     """Reference: the engine's pivot rule by a linear scan of every entry.
 
     A unit is +-1 over Z and any nonzero entry over Z/p.  The pivot column
     is the column without a pivot of least (nonzero count, index) that holds
     a unit, and the pivot row its unit of least (row length, magnitude, row
     index).  When no column holds a unit, the same rule reads every entry.
+    It takes no pre-pass, so the scan chooses every pivot.
     """
 
     def _choose_pivot(self) -> tuple[int, int] | None:
@@ -219,12 +227,18 @@ def test_pivot_queue_matches_linear_scan():
                     == engine_lines(full_engine(_ScanPivotEngine, m, mod))), (m, mod)
 
 
-def transform_free_run(cls, m, mod):
+def transform_free_run(cls, m, mod, skip_rows=()):
     """The pivots (row, column, a unit when chosen), diag and cleared columns
-    of a run without transforms."""
+    of a run without transforms, the pre-pass's pivots first."""
     pivots = []
 
     class Recording(cls):
+        def _take_lone_units(self):
+            super()._take_lone_units()
+            # the pre-pass runs first, so every pivot so far is its own
+            pivots.extend((r, c, bool(mod) or abs(d) == 1)
+                          for (r, c), d in zip(self._pivots, self.diag))
+
         def _choose_pivot(self):
             picked = super()._choose_pivot()
             if picked is not None:
@@ -232,7 +246,8 @@ def transform_free_run(cls, m, mod):
                 pivots.append((r, c, bool(mod) or abs(self.ws.lines[r][c]) == 1))
             return picked
 
-    eng = Recording(m, mod)
+    eng = Recording(m, mod, skip_rows=skip_rows)
+    assert [(r, c) for r, c, _ in pivots] == eng._pivots
     return pivots, eng.diag, eng.cleared
 
 
@@ -249,11 +264,12 @@ def test_unit_pivot_queue_matches_linear_scan():
     assert returned > 0
 
 
-class _AxpyRowClearEngine(_SnfEngine):
+class _AxpyRowClearEngine(_NoPrePassEngine):
     """Reference: the engine whose pivot-row clear always goes through `_col_axpy`.
 
-    `refilled` counts the column ops made while a gcd step had refilled
-    the pivot column.
+    It takes no pre-pass, so every pivot is cleared that way.  `refilled`
+    counts the column ops made while a gcd step had refilled the pivot
+    column.
     """
 
     refilled = 0
@@ -305,6 +321,79 @@ def test_direct_pivot_row_clear_matches_col_axpy():
             assert (transform_free_run(_SnfEngine, m, mod)
                     == transform_free_run(_AxpyRowClearEngine, m, mod)), (m, mod)
     assert refilled > 0
+
+
+class _PrePassCountEngine(_SnfEngine):
+    """The engine, counting the pivots its pre-pass takes."""
+
+    def _take_lone_units(self):
+        super()._take_lone_units()
+        self.pre_pass = len(self._pivots)
+
+
+def test_lone_unit_pre_pass_changes_no_pivot():
+    # chained boundaries: each run skips the rows its predecessor cleared
+    ladders = [z4_boundaries()]
+    ladders += [invariant_complex(negation_action(n), deg).boundaries
+                for n, deg in ((3, 6), (5, 5), (8, 4))]
+    ladders.append(coinvariant_complex(negation_action(4), 5).boundaries)
+    taken = total = 0
+    for boundaries in ladders:
+        for mod in (0, 2, 3, 5):
+            cleared = []
+            for d in boundaries:
+                skip = cleared
+                run = transform_free_run(_SnfEngine, d, mod, skip)
+                assert run == transform_free_run(_NoPrePassEngine, d, mod, skip), (d, mod)
+                pivots, _, cleared = run
+                # U and U^-1, whose lines record the pre-pass's sign changes
+                engines = [cls(d, mod, want_u=True, want_u_inv=True)
+                           for cls in (_SnfEngine, _NoPrePassEngine)]
+                assert len({json.dumps([eng._pivots, eng.diag, eng.cleared]
+                                       + [[list(line.items()) for line in ws.lines]
+                                          for ws in (eng.u, eng.u_inv)])
+                            for eng in engines}) == 1, (d, mod)
+                taken += _PrePassCountEngine(d, mod, skip_rows=skip).pre_pass
+                total += len(pivots)
+    # with the rows the boundary before cleared skipped, most pivots are
+    # units alone in their columns from the start or once rows are dropped
+    assert taken > total // 2
+
+
+class _SortedScanCheckEngine(_SnfEngine):
+    """The engine, checking each `_find_nondivisible` against a sorted scan.
+
+    The reference walks the live columns in index order and each column's
+    rows in sorted order, and returns the first row whose entry the pivot
+    does not divide.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.found = [0, 0]  # calls that returned a row, calls that returned None
+        super().__init__(*args, **kwargs)
+
+    def _find_nondivisible(self, piv):
+        got = super()._find_nondivisible(piv)
+        lines, cross = self.ws.lines, self.ws.cross
+        ref = next((r for c in range(self.m.cols) if not self._done[c]
+                    for r in sorted(cross.get(c, ())) if lines[r][c] % piv), None)
+        assert got == ref
+        self.found[got is None] += 1
+        return got
+
+
+def test_find_nondivisible_matches_a_sorted_scan():
+    # the matrices with no +-1 entry, a 30 x 30 band of 2s among them:
+    # every first pivot over Z is a non-unit
+    mats = [m for m in queue_test_matrices()
+            if all(abs(v) != 1 for col in m.columns for v in col.values())]
+    assert SparseIntMatrix.from_entries(30, 30, {
+        (r, c): 2 for r in range(30) for c in range(30) if abs(r - c) <= 1}) in mats
+    found = [0, 0]
+    for m in mats:
+        for eng in (_SortedScanCheckEngine(m), full_engine(_SortedScanCheckEngine, m, 0)):
+            found = [a + b for a, b in zip(found, eng.found)]
+    assert min(found) > 0
 
 
 def test_snf_against_sympy_oracle():
