@@ -153,7 +153,7 @@ class HomologyProfile:
             relations = [{i - r: v for i, v in col.items()} for col in bounds.columns]
             presented = present_fg_abelian(
                 k, SparseIntMatrix._trusted(k, bounds.cols, relations), mod)
-            if FgAbelianGroup(presented.free_rank, presented.torsion) != self._groups[n]:
+            if presented != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "
                     f"rank/torsion computation")
@@ -382,7 +382,8 @@ def invariant_les(ses: InvariantSES, top_degree: int) -> LesNode:
 
     The last node is H_0(orbit space) = Z and the connecting map into it is
     zero, because N_0 is an isomorphism.  In degrees >= 1 the sequence is the
-    reduced one, hence the H~ labels there.
+    reduced one, hence the H~ labels there.  With top_degree 0 the sequence
+    is that one node, with no maps.
     """
     if top_degree + 1 > ses.max_degree:
         raise ValueError("sequence needs boundaries one degree above its top")
@@ -397,9 +398,9 @@ def invariant_les(ses: InvariantSES, top_degree: int) -> LesNode:
         labels.append(label)
         groups.append(group)
 
+    push(f"H~_{top_degree}(orbit space)" if top_degree else "H_0(orbit space)",
+         coinv_prof.group(top_degree))
     for n in range(top_degree, 0, -1):
-        if n == top_degree:
-            push(f"H~_{n}(orbit space)", coinv_prof.group(n))
         maps.append(induced_map(ses.norm, coinv_prof, inv_prof, n))
         push(f"H~_{n}(invariants)", inv_prof.group(n))
         maps.append(induced_map(ses.project, inv_prof, d_prof, n))

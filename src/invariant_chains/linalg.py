@@ -11,9 +11,9 @@ and V^-1 its caller asks for.  Everything else is read off it:
   * present_fg_abelian     -- invariant-factor presentation of R^k / relations
   * FgAbelianGroup, AbelianHom  -- finitely generated abelian groups with
     generator data, and homomorphisms between them
-  * FgSubgroup             -- one Smith form of [G | R], generators beside the
-    ambient relations, gives its presentation and membership; kernels and
-    fixed points are the preimages of a relation lattice
+  * FgSubgroup             -- one Smith form of [G | R], the generator matrix
+    beside the ambient relations, gives its presentation and membership;
+    kernels and fixed points take the X rows of ker [X | R] as G
 
 Pivoting is deterministic, so results are reproducible bit for bit, and
 one rule chooses every pivot.  A unit is +-1 over Z and any nonzero entry
@@ -909,10 +909,9 @@ class FgAbelianGroup:
     the order of `torsion`, then free coords).
     """
 
-    __slots__ = ("free_rank", "torsion", "ambient_rank", "gens", "_reducer")
+    __slots__ = ("free_rank", "torsion", "gens", "_reducer")
 
     def __init__(self, free_rank: int, torsion: Sequence[int],
-                 ambient_rank: int | None = None,
                  gens: Sequence[Sequence[int]] | None = None,
                  reducer: Callable[[Vector], tuple[int, ...]] | None = None):
         torsion = tuple(int(t) for t in torsion)
@@ -923,7 +922,6 @@ class FgAbelianGroup:
             raise ValueError("torsion coefficients must be >= 2")
         self.free_rank = free_rank
         self.torsion = torsion
-        self.ambient_rank = ambient_rank
         self.gens = tuple(tuple(g) for g in gens) if gens is not None else None
         self._reducer = reducer
 
@@ -1003,41 +1001,22 @@ def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix,
     frees = list(range(len(eng.diag), ambient_rank))
     coord_positions = [i for i, _ in kept] + frees
     orders = [d for _, d in kept] + [mod] * len(frees)
-
-    u_rows = [eng.u.lines[i] for i in coord_positions]
-    gens = []
-    for i in coord_positions:
-        col = eng.u_inv.lines[i]
-        vec = [0] * ambient_rank
-        for r, v in col.items():
-            vec[r] = v
-        gens.append(tuple(vec))
+    # the generators are the columns of U^-1 at the coordinate positions, and
+    # the coordinates of a vector are its products with the rows of U there
+    k = len(coord_positions)
+    gens = SparseIntMatrix._trusted(ambient_rank, k, [eng.u_inv.lines[i] for i in coord_positions])
+    u_rows = SparseIntMatrix._trusted(ambient_rank, k, [eng.u.lines[i] for i in coord_positions])
 
     def reducer(vec: Vector) -> tuple[int, ...]:
-        if len(vec) != ambient_rank:
-            raise ValueError("ambient vector length mismatch")
-        out = []
-        for row, o in zip(u_rows, orders):
-            y = 0
-            for j, w in row.items():
-                x = vec[j]
-                if x:
-                    y += w * x
-            out.append(y % o if o else y)
-        return tuple(out)
+        ys = SparseIntMatrix.from_dense([vec], ambient_rank).mul(u_rows).to_dense()[0]
+        return tuple(y % o if o else y for y, o in zip(ys, orders))
 
     return FgAbelianGroup(orders.count(0), [o for o in orders if o],
-                          ambient_rank=ambient_rank, gens=gens, reducer=reducer)
+                          gens=gens.transpose().to_dense(), reducer=reducer)
 
 
 # ---------------------------------------------------------------------------
 # homomorphisms, kernels, images, fixed points
-
-
-def _relation_matrix(orders: Sequence[int]) -> SparseIntMatrix:
-    """Columns o_i * e_i for the finite generator orders o_i (0 means infinite)."""
-    columns = [{i: o} for i, o in enumerate(orders) if o]
-    return SparseIntMatrix(len(orders), len(columns), columns)
 
 
 class AbelianHom:
@@ -1080,8 +1059,7 @@ class AbelianHom:
 
     @classmethod
     def identity(cls, group: FgAbelianGroup) -> "AbelianHom":
-        n = group.ngens
-        return cls(group, group, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.scalar(group, 1)
 
     @classmethod
     def zero(cls, source: FgAbelianGroup, target: FgAbelianGroup) -> "AbelianHom":
@@ -1112,15 +1090,8 @@ class AbelianHom:
                                        [self.apply(col) for col in other.images()])
 
     def is_zero_map(self) -> bool:
-        orders = self.target.gen_orders()
-        for i, row in enumerate(self.matrix):
-            for v in row:
-                if orders[i]:
-                    if v % orders[i]:
-                        return False
-                elif v:
-                    return False
-        return True
+        # the stored torsion rows are reduced, so a zero map stores only zeros
+        return not any(map(any, self.matrix))
 
     def __eq__(self, other):
         if not isinstance(other, AbelianHom):
@@ -1145,7 +1116,7 @@ class FgSubgroup:
         return self.group.order()
 
     def contains(self, coords: Vector) -> bool:
-        return self._membership.solve(list(coords)) is not None
+        return self._membership.solve(coords) is not None
 
     def same_subgroup(self, other: "FgSubgroup") -> bool:
         if self.ambient != other.ambient:
@@ -1154,24 +1125,31 @@ class FgSubgroup:
                 and all(self.contains(g) for g in other.inclusion.images()))
 
 
-def _subgroup_from_generators(ambient: FgAbelianGroup,
-                              gen_cols: Sequence[Vector]) -> FgSubgroup:
-    """Subgroup of `ambient` generated by the classes of the given vectors.
+def _kernel_block(x: SparseIntMatrix,
+                  orders: Sequence[int]) -> tuple[ColumnEchelon, SparseIntMatrix]:
+    """ColumnEchelon([X | R]), R the columns o_i * e_i of the finite orders, and
+    the X rows of its kernel basis: R has independent columns, so these are a
+    basis of the x with X*x in the lattice of R."""
+    relations = [{i: o} for i, o in enumerate(orders) if o]
+    echelon = ColumnEchelon(x.hstack(SparseIntMatrix(len(orders), len(relations), relations)))
+    n = x.cols
+    kernel = [{r: v for r, v in col.items() if r < n} for col in echelon.kernel_matrix().columns]
+    return echelon, SparseIntMatrix._trusted(n, len(kernel), kernel)
+
+
+def _subgroup_from_generators(ambient: FgAbelianGroup, gens: SparseIntMatrix) -> FgSubgroup:
+    """Subgroup of `ambient` generated by the classes of the columns of `gens`.
 
     One Smith form of [G | R], G the generators and R the relations of
     `ambient`, gives both the relations among the generators (the G part of
     its kernel) and membership in the subgroup (a lattice solve).
     """
-    g = len(gen_cols)
-    gmat = SparseIntMatrix(ambient.ngens, g, [{r: v for r, v in enumerate(col) if v}
-                                              for col in gen_cols])
-    membership = ColumnEchelon(gmat.hstack(_relation_matrix(ambient.gen_orders())))
-    ker = membership.kernel_matrix()
-    rel_cols = [{r: v for r, v in col.items() if r < g} for col in ker.columns]
-    presented = present_fg_abelian(g, SparseIntMatrix(g, ker.cols, rel_cols))
-    # inclusion: push each abstract generator through G into ambient coords
-    incl_cols = [ambient.normalize(gmat.mul_vec(list(gen))) for gen in presented.gens]
-    inclusion = AbelianHom.from_columns(presented, ambient, incl_cols)
+    membership, relations = _kernel_block(gens, ambient.gen_orders())
+    presented = present_fg_abelian(gens.cols, relations)
+    # inclusion: push each abstract generator through G into ambient coords,
+    # which the hom reduces mod the torsion
+    inclusion = AbelianHom.from_columns(presented, ambient,
+                                        [gens.mul_vec(gen) for gen in presented.gens])
     return FgSubgroup(ambient, presented, inclusion, membership)
 
 
@@ -1179,25 +1157,13 @@ def _preimage_of_relations(source: FgAbelianGroup, rows: Sequence[Vector],
                            target_orders: Sequence[int]) -> FgSubgroup:
     """Subgroup of the x in `source` with rows*x in the lattice of `target_orders`.
 
-    Each such x is the H part of a kernel vector of [H | R], R the relation
-    matrix of the target orders.  R has independent columns, so no kernel
-    basis vector has H part 0.  The source relations are added as generators.
+    The X rows of ker [H | R], H = rows and R the relations of the target
+    orders, are the generator matrix.  The source relations are not added to
+    it: they lie in the lattice, as every `AbelianHom` is well defined, and
+    `_subgroup_from_generators` sets them beside the generators already.
     """
-    n = source.ngens
-    h = SparseIntMatrix.from_dense(rows, n)
-    ker = kernel_basis(h.hstack(_relation_matrix(target_orders)))
-    gens = []
-    for col in ker.columns:
-        vec = [0] * n
-        for r, v in col.items():
-            if r < n:
-                vec[r] = v
-        gens.append(vec)
-    for i, t in enumerate(source.torsion):
-        vec = [0] * n
-        vec[i] = t
-        gens.append(vec)
-    return _subgroup_from_generators(source, gens)
+    _, kernel = _kernel_block(SparseIntMatrix.from_dense(rows, source.ngens), target_orders)
+    return _subgroup_from_generators(source, kernel)
 
 
 def kernel_of_hom(h: AbelianHom) -> FgSubgroup:
@@ -1205,7 +1171,8 @@ def kernel_of_hom(h: AbelianHom) -> FgSubgroup:
 
 
 def image_of_hom(h: AbelianHom) -> FgSubgroup:
-    return _subgroup_from_generators(h.target, h.images())
+    return _subgroup_from_generators(h.target,
+                                     SparseIntMatrix.from_dense(h.matrix, h.source.ngens))
 
 
 def fixed_points_of_hom_family(group: FgAbelianGroup,

@@ -8,7 +8,6 @@ anything not computed is simply absent from the report.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -258,12 +257,14 @@ def suite_structure(action: GroupAction, max_degree: int = 4,
                     invertible_coeff: int | None = None) -> VerificationReport:
     """Structural laws of the invariant complex for one action.
 
-    The Z/a claims hold only where |Q| is invertible in Z/a, so any other
-    invertible_coeff is rejected before anything is built.
+    The Z/a claims hold only where |Q| is invertible in Z/a, and generator
+    data exists only for a prime a, so any other invertible_coeff is
+    rejected before anything is built.
     """
-    if invertible_coeff is not None and math.gcd(invertible_coeff, action.q.order) != 1:
-        raise SpecParseError(f"|Q| = {action.q.order} is not invertible in "
-                             f"Z/{invertible_coeff}")
+    a = invertible_coeff
+    if a is not None and (not _is_prime(a) or action.q.order % a == 0):
+        raise SpecParseError(f"invertible_coeff must be a prime not dividing "
+                             f"|Q| = {action.q.order}, got {a}")
     report = VerificationReport(
         f"structure({action.q.name} on {action.g.name}, max_degree={max_degree})")
     n_build = max_degree + 1
@@ -280,8 +281,7 @@ def suite_structure(action: GroupAction, max_degree: int = 4,
     _istar_claims(report, action, max_degree, expect_iso_onto_fixed=False)
 
     # invariant homology with |Q| invertible equals the fixed classes
-    if invertible_coeff is not None:
-        a = invertible_coeff
+    if a is not None:
         bar_prof_a = homology(bar_complex(g, n_build), a)
         inv_prof_a = homology(inv, a)
         for deg in range(1, max_degree + 1):

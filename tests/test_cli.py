@@ -165,6 +165,25 @@ def test_bad_specs_exit_2(capsys):
         assert captured.out == "" and captured.err.startswith("error: "), argv
 
 
+def test_every_suite_and_maps_run_at_low_degrees(capsys):
+    # n_0_mod_4's documented claim failures begin at degree 3, so every run
+    # here exits 0 and prints nothing on stderr, a traceback least of all
+    runs = (["verify", "n_odd", "--n", "3"],
+            ["verify", "n_2k", "--k", "3"],
+            ["verify", "n_0_mod_4", "--s", "2"],
+            ["verify", "structure", "--group", "cyclic:4"],
+            ["verify", "structure", "--group", "cyclic:4", "--action", "trivial"],
+            ["verify", "structure", "--group", "cyclic:4", "--coeff-a", "5"],
+            ["verify", "transfer", "--group", "cyclic:4", "--subgroup", "2"],
+            ["verify", "divisible", "--group", "cyclic:5"],
+            ["verify", "integer_line", "--bound", "5"],
+            ["compute", "--group", "cyclic:4", "--maps"])
+    for argv in runs:
+        for degree in ("0", "1"):
+            code = cli.main(argv + ["--max-degree", degree, "--format", "json"])
+            assert (code, capsys.readouterr().err) == (0, ""), (argv, degree)
+
+
 def test_bad_budget_is_named_as_typed(capsys):
     for typed in ("1.5g", " 2 gb"):
         assert cli.main(["compute", "--group", "cyclic:4", f"--memory-budget={typed}"]) == 2

@@ -176,6 +176,13 @@ def test_invariant_ses_is_made_of_the_built_complexes():
     assert exactness_check(les).ok
 
 
+def test_les_at_top_degree_zero_is_one_node():
+    les = invariant_les(invariant_ses(negation_action(4), 1), 0)
+    assert les.labels == ["H_0(orbit space)"]
+    assert les.groups == [FgAbelianGroup(1, ())] and les.maps == []
+    assert exactness_check(les).records == []
+
+
 def test_exactness_negative_control():
     # corrupt one map of an exact sequence: report must flag it
     ses = invariant_ses(negation_action(4), 4)

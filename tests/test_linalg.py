@@ -567,6 +567,22 @@ def test_each_subgroup_takes_one_smith_form(monkeypatch):
     built.clear()
     kernel_of_hom(h)
     assert len(built) == 2  # the preimage [H | R], then the subgroup's [G | R]
+    preimage, subgroup = built
+    # G is the kernel basis of the preimage, and R the two ambient relations,
+    # which are not added to G as well
+    assert subgroup.cols == kernel_basis(preimage).cols + len(g.torsion)
+
+
+def test_is_zero_map_on_torsion_multiples_and_free_targets():
+    z4 = FgAbelianGroup(0, (4,))
+    assert AbelianHom(z4, z4, [[4]]).is_zero_map()
+    assert not AbelianHom(z4, z4, [[2]]).is_zero_map()
+    z = FgAbelianGroup(1, ())
+    assert AbelianHom(z, z, [[0]]).is_zero_map()
+    assert not AbelianHom(z, z, [[3]]).is_zero_map()
+    mixed = FgAbelianGroup(1, (4,))
+    assert AbelianHom(z, mixed, [[8], [0]]).is_zero_map()
+    assert not AbelianHom(z, mixed, [[8], [3]]).is_zero_map()
 
 
 def test_exactness_check_takes_each_image_once(monkeypatch):

@@ -8,8 +8,8 @@ claims those are so any behavioral drift is caught.
 
 import pytest
 
-from invariant_chains import chains
-from invariant_chains.errors import InternalCheckError
+from invariant_chains import chains, theorems
+from invariant_chains.errors import InternalCheckError, SpecParseError
 from invariant_chains.groups import (generated_subgroup, make_cyclic, negation_action,
                                      trivial_subgroup)
 from invariant_chains.linalg import FgAbelianGroup
@@ -65,6 +65,20 @@ def test_suite_n_0_mod_4_fails_exactly_on_the_known_claims():
 def test_suite_structure_z5():
     report = suite_structure(negation_action(5), 3, invertible_coeff=5)
     assert report.passed
+
+
+def test_suite_structure_at_degree_zero():
+    report = suite_structure(negation_action(4), 0, invertible_coeff=5)
+    assert report.claims and failing(report) == []
+
+
+def test_suite_structure_rejects_a_composite_coefficient_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(theorems, "invariant_complex", no_build)
+    with pytest.raises(SpecParseError, match="prime"):
+        suite_structure(negation_action(5), 2, invertible_coeff=9)
 
 
 def test_suite_transfer_z6():
