@@ -20,7 +20,14 @@ Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
 in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
 the boundaries in cycle coordinates are rows r: of V^-1*d_{n+1}, and their
 presentation gives the homology generators and a reducer that carries the
-cycle coordinates (V^-1*v)[r:] of a cycle v to homology coordinates.
+cycle coordinates (V^-1*v)[r:] of a cycle v to homology coordinates.  That
+Smith form keeps V and V^-1 but not U or U^-1, whose lines are indexed by
+the rows, so it may leave out the rows of d_n that the profile skipped: they
+are ring combinations of the kept rows, so the kept rows have the kernel of
+d_n (see "Clearing" in `linalg`).  The profile's rank of d_n rests on the
+same skipped rows, so the presentation's agreement with that rank would not
+catch a wrong skip; each bundle checks on its own that d_n restricted to the
+skipped rows is zero on the cycles.
 """
 
 from __future__ import annotations
@@ -82,16 +89,19 @@ class HomologyProfile:
             self._integral = homology(slice_, COEFF_Z)
 
         # per boundary, d_0 = 0 first, then d_1..d_max: the invariant
-        # factors over Z, the rank over Z/p; d_n skips the rows d_{n-1} cleared
+        # factors over Z, the rank over Z/p; d_n skips the rows d_{n-1}
+        # cleared, and `_skips[n]` keeps them for the generator data
         if self.mode in ("int", "field"):
-            data, cleared = [() if self.mode == "int" else 0], ()
+            data, skips, cleared = [() if self.mode == "int" else 0], [()], ()
             for d in slice_.boundaries:
                 skip, cleared = cleared, []
+                skips.append(skip)
                 if self.coeff:
                     data.append(rank_mod_p(d, self.coeff, skip_rows=skip, cleared=cleared))
                 else:
                     data.append(invariant_factors(d, skip_rows=skip, cleared=cleared))
             self._boundary_data = tuple(data)
+            self._skips = tuple(skips)
         self._groups = {n: self._compute_group(n) for n in range(self.top_degree + 1)}
         if self.mode == "field" and self._integral is not None:
             for n in range(self.top_degree + 1):
@@ -139,25 +149,39 @@ class HomologyProfile:
         if n not in self._bundles:
             mod = self.coeff
             d_n = self.slice.d(n)
-            eng = _SnfEngine(d_n, mod, want_v=True, want_v_inv=True)
+            skip = self._skips[n]
+            eng = _SnfEngine(d_n, mod, want_v=True, want_v_inv=True, skip_rows=skip)
             r = len(eng.diag)
             k = d_n.cols - r
+            cycles = SparseIntMatrix._trusted(d_n.cols, k, eng.v.lines[r:])
             v_inv = eng.v_inv.to_matrix(d_n.cols, d_n.cols, by_rows=True)
-            bounds = v_inv.mul(self.slice.d(n + 1))
-            if mod:
-                bounds = bounds.to_mod(mod)
-            if any(col and min(col) < r for col in bounds.columns):
-                raise InternalCheckError("boundary column is not a cycle")
-            # the cycle check puts every index i - r in [0, k), and neither
-            # `mul` nor `to_mod` stores a zero
-            relations = [{i - r: v for i, v in col.items()} for col in bounds.columns]
+            del eng  # its working matrix, V[:, :r] and row-kept V^-1 go before the product
+            if skip:
+                # the profile's rank of d_n and this kernel both rest on the
+                # skip, so check it on its own: the skipped rows vanish on
+                # the cycles
+                rows = set(skip)
+                skipped = SparseIntMatrix._trusted(d_n.rows, d_n.cols, [
+                    {i: v for i, v in col.items() if i in rows} for col in d_n.columns])
+                residue = skipped.mul(cycles)
+                if not (residue.to_mod(mod) if mod else residue).is_zero():
+                    raise InternalCheckError(
+                        f"rows skipped at degree {n} do not vanish on the cycles")
+            # the relations, rows r: of V^-1*d_{n+1}, replace the product's
+            # columns one by one; neither `mul` nor the reduction stores a zero
+            relations = v_inv.mul(self.slice.d(n + 1)).columns
+            for j, col in enumerate(relations):
+                if mod:
+                    col = {i: v % mod for i, v in col.items() if v % mod}
+                if col and min(col) < r:
+                    raise InternalCheckError("boundary column is not a cycle")
+                relations[j] = {i - r: v for i, v in col.items()}
             presented = present_fg_abelian(
-                k, SparseIntMatrix._trusted(k, bounds.cols, relations), mod)
+                k, SparseIntMatrix._trusted(k, len(relations), relations), mod)
             if presented != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "
                     f"rank/torsion computation")
-            cycles = SparseIntMatrix._trusted(d_n.cols, k, eng.v.lines[r:])
             self._bundles[n] = _Bundle(r, cycles, v_inv, presented)
         return self._bundles[n]
 

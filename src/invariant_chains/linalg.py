@@ -91,6 +91,15 @@ d_{n+1}[A, :] = -L * d_n[:, B] * d_{n+1}[B, :], so rows A are combinations
 of rows B: a unimodular row operation makes them zero, which changes no
 invariant factor and no rank.  Past a non-unit pivot, gcd steps mix a pivot
 column with others, and a later unit pivot need not give such an L.
+
+The same rows may be skipped by a run that keeps V and V^-1.  Since rows A
+are combinations of rows B, d_{n+1} and d_{n+1}[B, :] have the same kernel,
+so a unimodular V for the restricted matrix still gives a saturated basis
+V[:, r:] of ker d_{n+1}, and rows r: of V^-1 still give coordinates on it.
+Runs that keep U or U^-1 may not skip rows: the lines of those transforms
+are indexed by the rows of M, and a skipped row would have none.
+`homology` uses the skip for generator data and checks, in the ring, that
+the skipped rows vanish on the kernel basis it reads off V.
 """
 
 from __future__ import annotations
@@ -411,9 +420,11 @@ class _SnfEngine:
     the same index order, and clear each by dropping its row as the
     pre-pass does.
 
-    A transform-free run may leave out `skip_rows` (never loaded; the other
-    rows keep their indices), and `cleared` lists the columns whose rows the
-    next boundary may skip: see "Clearing" in the module docstring.  Every
+    A run that keeps neither U nor U^-1 may leave out `skip_rows` (never
+    loaded; the other rows keep their indices): V, V^-1 and the diagonal
+    are indexed by the columns and the pivots, but U and U^-1 by the rows of
+    M.  `cleared` lists the columns whose rows the next boundary may skip:
+    see "Clearing" in the module docstring.  Every
     run, in either ring, with or without transforms, takes its pivots by the
     one rule of the module docstring: units first, then over Z every entry.
     """
@@ -422,8 +433,8 @@ class _SnfEngine:
                  want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False,
                  skip_rows: Iterable[int] = ()):
         skip = set(skip_rows)
-        if skip and (want_u or want_v or want_u_inv or want_v_inv):
-            raise ValueError("rows can be skipped only without transforms")
+        if skip and (want_u or want_u_inv):
+            raise ValueError("rows can be skipped only without U and U^-1")
         self.m = m
         self.mod = mod
         ws = self.ws = _IndexedLines(m.rows, mod)

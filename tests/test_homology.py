@@ -19,7 +19,8 @@ from invariant_chains.homology import (HomologyProfile, LesNode, action_on_homol
                                        fixed_homology, homology, induced_map,
                                        invariant_les, uct_crosscheck)
 from invariant_chains.linalg import (AbelianHom, FgAbelianGroup, SparseIntMatrix,
-                                     image_of_hom, kernel_of_hom)
+                                     image_of_hom, invariant_factors, kernel_of_hom,
+                                     rank_mod_p)
 
 
 def groups_str(prof, lo, hi):
@@ -305,6 +306,41 @@ def test_boundary_that_is_not_a_cycle_is_caught():
         prof = HomologyProfile(slc, coeff)
         with pytest.raises(InternalCheckError, match="boundary column is not a cycle"):
             prof.generators(1)
+
+
+@pytest.mark.parametrize("mod", [0, 2])
+def test_a_skipped_row_that_is_not_redundant_is_caught(monkeypatch, mod):
+    # d_3 of bar(Z/3) skips the rows d_2 cleared; add one more row whose loss
+    # lowers the rank.  The profile's rank of d_3 and the bundle's kernel then
+    # agree with each other, so only the check of the skipped rows sees it.
+    bar = bar_complex(make_cyclic(3), 4)
+    slc = ComplexSlice("bar(Z/3)", "test", 4, bar.sizes, bar.boundaries, mod)
+    d2, d3 = slc.d(2), slc.d(3)
+    homology_module = importlib.import_module("invariant_chains.homology")
+
+    def rank(d, skip=(), cleared=None):
+        return (rank_mod_p(d, mod, skip_rows=skip, cleared=cleared) if mod
+                else len(invariant_factors(d, skip_rows=skip, cleared=cleared)))
+
+    cleared = []
+    rank(d2, cleared=cleared)
+    full = rank(d3, cleared)
+    extra = next(i for i in range(d3.rows) if i not in cleared and rank(d3, cleared + [i]) < full)
+
+    def widening(real):
+        def run(d, *args, cleared, **kwargs):
+            out = real(d, *args, cleared=cleared, **kwargs)
+            if d is d2:
+                cleared.append(extra)
+            return out
+        return run
+
+    for name in ("invariant_factors", "rank_mod_p"):
+        monkeypatch.setattr(homology_module, name, widening(getattr(homology_module, name)))
+    prof = HomologyProfile(slc, mod)
+    assert extra in prof._skips[3]
+    with pytest.raises(InternalCheckError, match="rows skipped at degree 3 do not vanish"):
+        prof.generators(3)
 
 
 def test_uct_crosscheck_reads_the_field_profiles(monkeypatch):

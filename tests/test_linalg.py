@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from invariant_chains import linalg
-from invariant_chains.chains import (bar_complex, clear_caches, coinvariant_complex,
-                                     invariant_complex, invariant_ses)
+from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
+                                     coinvariant_complex, invariant_complex, invariant_ses)
 from invariant_chains.groups import inversion_action, make_cyclic, negation_action
-from invariant_chains.homology import exactness_check, homology, invariant_les
+from invariant_chains.homology import HomologyProfile, exactness_check, homology, invariant_les
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
                                      SparseIntMatrix, _Lines, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
@@ -759,6 +759,38 @@ def test_cleared_rows_keep_factors_and_ranks(boundaries):
         assert chained_eliminations(boundaries, mod) == uncleared_eliminations(boundaries, mod)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(z_complexes())
+def test_cleared_rows_keep_kernels_and_presentations(boundaries):
+    # a complex d_1, d_2, d_3 whose homology has generator data in degrees 0-2
+    sizes = (boundaries[0].rows,) + tuple(d.cols for d in boundaries)
+    slc = ComplexSlice("pieces", "test", 3, sizes, tuple(boundaries))
+    for mod in (0, 2, 3, 5):
+        # skips[n]: the rows d_n skips, none for d_0 and d_1
+        skips = [(), ()] + [cleared for _, cleared in chained_runs(boundaries, mod)[:-1]]
+        for n, d in enumerate(boundaries, 1):
+            full = _SnfEngine(d, mod, want_v=True, want_v_inv=True)
+            kept = _SnfEngine(d, mod, want_v=True, want_v_inv=True, skip_rows=skips[n])
+            r = len(kept.diag)
+            assert r == len(full.diag)
+            v = kept.v.to_matrix(d.cols, d.cols, by_rows=False)
+            v_inv = kept.v_inv.to_matrix(d.cols, d.cols, by_rows=True)
+            residue = d.mul(SparseIntMatrix(d.cols, d.cols - r, v.columns[r:]))
+            identity = v_inv.mul(v)
+            if mod:
+                residue, identity = residue.to_mod(mod), identity.to_mod(mod)
+            assert residue.is_zero()
+            assert identity == SparseIntMatrix.identity(d.cols)
+        # the profile's bundles skip the chained rows; with its skips emptied,
+        # a second profile builds the full-row bundles
+        prof, unskipped = homology(slc, mod), HomologyProfile(slc, mod)
+        assert list(prof._skips) == skips
+        unskipped._skips = ((),) * len(skips)
+        for n in range(3):
+            assert prof._bundle(n).presented == unskipped._bundle(n).presented == prof.group(n)
+    clear_caches()
+
+
 def test_cleared_stops_at_the_first_nonunit_pivot():
     # no entry of d1 is a unit, so its first pivot is not one
     d1, d2 = dense([[2, 3]]), dense([[3], [-2]])
@@ -775,8 +807,10 @@ def test_cleared_stops_at_the_first_nonunit_pivot():
     assert invariant_factors(d1, cleared=cleared) == (1,)
     assert cleared == [1]
     assert invariant_factors(d2, skip_rows=cleared) == (1,)
-    with pytest.raises(ValueError, match="without transforms"):
-        _SnfEngine(d2, want_v=True, skip_rows=[0])
+    # U and U^-1 are indexed by the rows, so runs that keep them skip none
+    for want in ("want_u", "want_u_inv"):
+        with pytest.raises(ValueError, match="without U and U"):
+            _SnfEngine(d2, skip_rows=[0], **{want: True})
 
 
 def test_clearing_reaches_every_pivot_of_inv_z6_d5():
