@@ -71,21 +71,11 @@ def bar_boundary(g: FiniteGroup, t: BarTuple) -> dict[BarTuple, int]:
     n = len(t)
     if n < 1:
         raise ValueError("bar_boundary needs degree >= 1")
-    acc: dict[BarTuple, int] = {}
-
-    def add(face: BarTuple, sign: int) -> None:
-        v = acc.get(face, 0) + sign
-        if v:
-            acc[face] = v
-        else:
-            acc.pop(face, None)
-
-    add(t[1:], 1)
-    for k in range(1, n):
-        face = t[:k - 1] + (g.mul(t[k - 1], t[k]),) + t[k + 1:]
-        add(face, -1 if k % 2 else 1)
-    add(t[:-1], -1 if n % 2 else 1)
-    return acc
+    faces = [(t[1:], 1)]
+    faces += [(t[:k - 1] + (g.mul(t[k - 1], t[k]),) + t[k + 1:], -1 if k % 2 else 1)
+              for k in range(1, n)]
+    faces.append((t[:-1], -1 if n % 2 else 1))
+    return _accumulate({}, faces)
 
 
 def _face_tables(g: FiniteGroup, n: int) -> list[tuple[array, int]]:
@@ -384,14 +374,8 @@ def _expand_orbit_boundary(action: GroupAction, n: int, rep: int) -> dict[int, i
     order = g.order
     acc: dict[int, int] = {}
     for mem in orbit_members(action, n, rep):
-        t = decode_tuple(order, n, mem)
-        for face, coeff in bar_boundary(g, t).items():
-            key = encode_tuple(order, face)
-            v = acc.get(key, 0) + coeff
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
+        faces = bar_boundary(g, decode_tuple(order, n, mem))
+        _accumulate(acc, ((encode_tuple(order, face), c) for face, c in faces.items()))
     return acc
 
 
@@ -462,40 +446,37 @@ def norm_chain_map(action: GroupAction, max_degree: int,
     return make_chain_map("norm", src, dst, mats)
 
 
-def _uniform_stabilizer(action: GroupAction, max_degree: int) -> int:
-    """The single nontrivial stabilizer order, or 0 if every orbit is free."""
-    found = set()
-    for n in range(1, max_degree + 1):
-        for s in tuple_orbits(action, n).stab_orders:
-            if s > 1:
-                found.add(s)
-    if not found:
-        return 0
+def _cokernel_orbits(action: GroupAction, max_degree: int) -> tuple[int, list[list[int]]]:
+    """(p, keep): the one stabilizer order p > 1 of the tuple orbits, and per
+    degree the positions of the orbits with stabilizer order p, which span coker N.
+
+    Degree 0 keeps nothing (N_0 is the identity).  If every orbit in degrees
+    1..max_degree is free, which for max_degree >= 1 means that Q is trivial
+    (the all-identity tuple is fixed by every automorphism), p is 0 and every
+    list is empty.
+    """
+    stabs = [tuple_orbits(action, n).stab_orders for n in range(1, max_degree + 1)]
+    found = {s for orders in stabs for s in orders if s > 1}
     if len(found) > 1:
         raise GroupConstructionError(
             f"norm cokernel has mixed torsion {sorted(found)}; only actions whose "
             "nontrivial tuple stabilizers share one prime order are supported")
-    s = found.pop()
-    if not _is_prime(s):
-        raise GroupConstructionError(f"norm cokernel torsion {s} is not prime")
-    return s
+    p = found.pop() if found else 0
+    if p and not _is_prime(p):
+        raise GroupConstructionError(f"norm cokernel torsion {p} is not prime")
+    return p, [[]] + [[j for j, s in enumerate(orders) if s == p] for orders in stabs]
 
 
 @_memoized
 def quotient_complex_D(action: GroupAction, max_degree: int,
                        memory_budget: int | None = None) -> ComplexSlice:
-    """Cokernel of the norm map, a complex of free Z/p-modules (D_0 = 0)."""
+    """Cokernel of the norm map, a complex of free Z/p-modules (D_0 = 0).
+
+    For trivial Q every orbit is free, so this is the zero complex, with
+    modulus 0.
+    """
     inv = invariant_complex(action, max_degree, memory_budget)
-    p = _uniform_stabilizer(action, max_degree)
-    if p == 0:
-        sizes = [0] * (max_degree + 1)
-        bnds = [SparseIntMatrix.zero(0, 0) for _ in range(max_degree)]
-        return _finish_slice(f"norm-cokernel({action.g.name})", "quotient", max_degree,
-                             sizes, bnds)
-    keep: list[list[int]] = [[]]  # degree 0 is zero
-    for n in range(1, max_degree + 1):
-        data = tuple_orbits(action, n)
-        keep.append([j for j, s in enumerate(data.stab_orders) if s == p])
+    p, keep = _cokernel_orbits(action, max_degree)
     sizes = [len(k) for k in keep]
     boundaries = []
     for n in range(1, max_degree + 1):
@@ -513,16 +494,11 @@ def quotient_chain_map(action: GroupAction, max_degree: int,
     """Projection from the invariant complex onto the norm cokernel."""
     inv = invariant_complex(action, max_degree, memory_budget)
     dq = quotient_complex_D(action, max_degree, memory_budget)
-    p = dq.modulus
+    _, keep = _cokernel_orbits(action, max_degree)
     mats = []
     for n in range(max_degree + 1):
-        if dq.sizes[n] == 0:
-            mats.append(SparseIntMatrix.zero(0, inv.sizes[n]))
-            continue
-        data = tuple_orbits(action, n)
-        keep = [j for j, s in enumerate(data.stab_orders) if s == p]
         columns: list[dict[int, int]] = [{} for _ in range(inv.sizes[n])]
-        for i, j in enumerate(keep):
+        for i, j in enumerate(keep[n]):
             columns[j] = {i: 1}
         mats.append(SparseIntMatrix(dq.sizes[n], inv.sizes[n], columns))
     return make_chain_map("norm-quotient", inv, dq, mats)

@@ -9,11 +9,12 @@ before they build it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import BudgetExceededError, GroupConstructionError, SpecParseError
 
@@ -57,6 +58,16 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _tuples(n: int, k: int, exhaustive: bool, samples: int, seed: int) -> Iterator[tuple]:
+    """Every k-tuple over range(n) in lexicographic order, or else `samples`
+    k-tuples drawn entry by entry from random.Random(seed), lazily."""
+    if exhaustive:
+        return itertools.product(range(n), repeat=k)
+    rng = random.Random(seed)
+    draws = (rng.randrange(n) for _ in range(samples * k))
+    return zip(*[draws] * k)
+
+
 def _validate_group(order: int, mul: Sequence[Sequence[int]], name: str) -> FiniteGroup:
     if order < 1:
         raise GroupConstructionError("group order must be >= 1")
@@ -77,13 +88,7 @@ def _validate_group(order: int, mul: Sequence[Sequence[int]], name: str) -> Fini
                 break
         if inv[g] < 0 or mul[inv[g]][g] != 0:
             raise GroupConstructionError(f"element {g} has no two-sided inverse")
-    if order <= _ASSOC_EXHAUSTIVE_LIMIT:
-        triples = ((a, b, c) for a in range(order) for b in range(order) for c in range(order))
-    else:
-        rng = random.Random(0xA55)
-        triples = ((rng.randrange(order), rng.randrange(order), rng.randrange(order))
-                   for _ in range(_ASSOC_SAMPLES))
-    for a, b, c in triples:
+    for a, b, c in _tuples(order, 3, order <= _ASSOC_EXHAUSTIVE_LIMIT, _ASSOC_SAMPLES, 0xA55):
         if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
             raise GroupConstructionError(f"associativity fails at {(a, b, c)}")
     return FiniteGroup(order, tuple(tuple(row) for row in mul), tuple(inv), name)
@@ -155,12 +160,7 @@ def _check_automorphism(g: FiniteGroup, p: Sequence[int]) -> None:
     if p[0] != 0:
         raise GroupConstructionError("automorphism must fix the identity")
     order = g.order
-    if order <= _ASSOC_EXHAUSTIVE_LIMIT:
-        pairs = ((a, b) for a in range(order) for b in range(order))
-    else:
-        rng = random.Random(0x5EED)
-        pairs = ((rng.randrange(order), rng.randrange(order)) for _ in range(_ASSOC_SAMPLES))
-    for a, b in pairs:
+    for a, b in _tuples(order, 2, order <= _ASSOC_EXHAUSTIVE_LIMIT, _ASSOC_SAMPLES, 0x5EED):
         if p[g.mul(a, b)] != g.mul(p[a], p[b]):
             raise GroupConstructionError(
                 f"map is not an automorphism: image of {a}*{b} mismatches")
@@ -175,13 +175,7 @@ def _validate_action(q: FiniteGroup, g: FiniteGroup,
     ident = tuple(g.elements())
     if tuple(perm[0]) != ident:
         raise GroupConstructionError("identity of Q must act as the identity")
-    budget = g.order * q.order
-    if budget <= 4096:
-        pairs = ((a, b) for a in range(q.order) for b in range(q.order))
-    else:
-        rng = random.Random(0xACC)
-        pairs = ((rng.randrange(q.order), rng.randrange(q.order)) for _ in range(2048))
-    for a, b in pairs:
+    for a, b in _tuples(q.order, 2, g.order * q.order <= 4096, 2048, 0xACC):
         pab = perm[q.mul(a, b)]
         pa, pb = perm[a], perm[b]
         if any(pab[x] != pa[pb[x]] for x in g.elements()):

@@ -4,9 +4,15 @@ Integral homology at degree n is read off exactly: the free rank is
 dim C_n - rank d_n - rank d_{n+1}, and the torsion coefficients are the
 nonunit invariant factors of d_{n+1} (the torsion of C_n/B_n, which equals
 that of Z_n/B_n because C_n/Z_n is free).  Mod-p homology comes from ranks
-of the boundaries mod p; for composite m the universal-coefficient formula
-on the integral profile is used.  For prime coefficients both routes run
-and must agree.
+of the boundaries mod p.
+
+A profile decides its ring once, as coeff = slice.modulus or coefficients.
+Over Z and over a prime Z/p (a slice's own modulus included) it eliminates
+each boundary itself; a Z/p profile of an integral slice then checks its
+groups against universal coefficients on the integral profile, so for prime
+coefficients both routes run and must agree.  A composite Z/m takes one
+branch: its groups are read off the integral profile by universal
+coefficients, and it has no generator data.
 
 A profile eliminates each boundary once: its invariant factors over Z, or
 its rank over Z/p.  It takes d_1, d_2, ... in order, and d_{n+1} skips the
@@ -58,70 +64,63 @@ class _Bundle:
 
 
 class HomologyProfile:
-    """Per-degree homology groups of a slice, with lazy generator data."""
+    """Per-degree homology groups of a slice, with lazy generator data.
+
+    The ring is decided once: coeff = slice.modulus or coefficients.  Over Z
+    and over a prime Z/p (a slice's own modulus is prime) the profile
+    eliminates each boundary itself, and a Z/p profile of an integral slice
+    then checks its groups against universal coefficients on the integral
+    profile.  A composite Z/m takes one early branch: its groups are read
+    off `homology(slice_)` by universal coefficients, and it has no boundary
+    data and no generator data.
+    """
 
     def __init__(self, slice_: ComplexSlice, coefficients: int = COEFF_Z):
+        coeff = slice_.modulus or coefficients
+        if coefficients not in (COEFF_Z, coeff):
+            raise ValueError(
+                f"complex is defined over Z/{slice_.modulus}; cannot change ring")
+        if coeff < 0 or coeff == 1:
+            raise ValueError(f"bad coefficient modulus {coefficients}")
         self.slice = slice_
-        if slice_.modulus:
-            if coefficients not in (COEFF_Z, slice_.modulus):
-                raise ValueError(
-                    f"complex is defined over Z/{slice_.modulus}; cannot change ring")
-            self.coeff = slice_.modulus
-            self.mode = "field"
-        elif coefficients == COEFF_Z:
-            self.coeff = 0
-            self.mode = "int"
-        elif _is_prime(coefficients):
-            self.coeff = coefficients
-            self.mode = "field"
-        else:
-            if coefficients < 2:
-                raise ValueError(f"bad coefficient modulus {coefficients}")
-            self.coeff = coefficients
-            self.mode = "uct"
+        self.coeff = coeff
         self.top_degree = slice_.max_degree - 1
-
         self._bundles: dict[int, _Bundle] = {}
-        self.uct_groups: dict[int, FgAbelianGroup] = {}
-        # the integral profile backing UCT computations (shared via homology())
-        self._integral: HomologyProfile | None = None
-        if self.mode in ("uct", "field") and not slice_.modulus:
-            self._integral = homology(slice_, COEFF_Z)
+        degrees = range(self.top_degree + 1)
+        if coeff and not _is_prime(coeff):
+            integral = homology(slice_)
+            self._groups = [integral.group_with_coefficients(n, coeff) for n in degrees]
+            return
 
         # per boundary, d_0 = 0 first, then d_1..d_max: the invariant
         # factors over Z, the rank over Z/p; d_n skips the rows d_{n-1}
         # cleared, and `_skips[n]` keeps them for the generator data
-        if self.mode in ("int", "field"):
-            data, skips, cleared = [() if self.mode == "int" else 0], [()], ()
-            for d in slice_.boundaries:
-                skip, cleared = cleared, []
-                skips.append(skip)
-                if self.coeff:
-                    data.append(rank_mod_p(d, self.coeff, skip_rows=skip, cleared=cleared))
-                else:
-                    data.append(invariant_factors(d, skip_rows=skip, cleared=cleared))
-            self._boundary_data = tuple(data)
-            self._skips = tuple(skips)
-        self._groups = {n: self._compute_group(n) for n in range(self.top_degree + 1)}
-        if self.mode == "field" and self._integral is not None:
-            for n in range(self.top_degree + 1):
-                expected = self._integral.group_with_coefficients(n, self.coeff)
-                self.uct_groups[n] = expected
+        data, skips, cleared = [0 if coeff else ()], [()], ()
+        for d in slice_.boundaries:
+            skip, cleared = cleared, []
+            skips.append(skip)
+            if coeff:
+                data.append(rank_mod_p(d, coeff, skip_rows=skip, cleared=cleared))
+            else:
+                data.append(invariant_factors(d, skip_rows=skip, cleared=cleared))
+        self._boundary_data = tuple(data)
+        self._skips = tuple(skips)
+        sizes = slice_.sizes
+        if coeff:
+            self._groups = [FgAbelianGroup(0, (coeff,) * (sizes[n] - data[n] - data[n + 1]))
+                            for n in degrees]
+        else:
+            self._groups = [FgAbelianGroup(sizes[n] - len(data[n]) - len(data[n + 1]),
+                                           tuple(d for d in data[n + 1] if d >= 2))
+                            for n in degrees]
+        if coeff and not slice_.modulus:
+            integral = homology(slice_)
+            for n in degrees:
+                expected = integral.group_with_coefficients(n, coeff)
                 if expected != self._groups[n]:
                     raise InternalCheckError(
-                        f"mod-{self.coeff} homology at degree {n}: field result "
+                        f"mod-{coeff} homology at degree {n}: field result "
                         f"{self._groups[n]} != universal-coefficient result {expected}")
-
-    # -- group computation -------------------------------------------------
-
-    def _compute_group(self, n: int) -> FgAbelianGroup:
-        if self.mode == "uct":
-            return self._integral.group_with_coefficients(n, self.coeff)
-        below, above = self._boundary_data[n], self._boundary_data[n + 1]
-        if self.mode == "int":
-            free = self.slice.sizes[n] - len(below) - len(above)
-            return FgAbelianGroup(free, tuple(d for d in above if d >= 2))
-        return FgAbelianGroup(0, (self.coeff,) * (self.slice.sizes[n] - below - above))
 
     def group(self, n: int) -> FgAbelianGroup:
         if not 0 <= n <= self.top_degree:
@@ -129,11 +128,11 @@ class HomologyProfile:
         return self._groups[n]
 
     def groups(self) -> list[FgAbelianGroup]:
-        return [self._groups[n] for n in range(self.top_degree + 1)]
+        return list(self._groups)
 
     def group_with_coefficients(self, n: int, m: int) -> FgAbelianGroup:
         """Universal coefficients: H_n (x) Z/m extended by Tor(H_{n-1}, Z/m)."""
-        if self.mode != "int":
+        if self.coeff:
             raise ValueError("universal coefficients need the integral profile")
         g_n = self.group(n)
         orders = [m] * g_n.free_rank + [math.gcd(t, m) for t in g_n.torsion]
@@ -144,10 +143,10 @@ class HomologyProfile:
     # -- generator data -----------------------------------------------------
 
     def _bundle(self, n: int) -> _Bundle:
-        if self.mode == "uct":
-            raise ValueError("no generator data for composite coefficients")
         if n not in self._bundles:
             mod = self.coeff
+            if mod and not _is_prime(mod):
+                raise ValueError("no generator data for composite coefficients")
             d_n = self.slice.d(n)
             skip = self._skips[n]
             eng = _SnfEngine(d_n, mod, want_v=True, want_v_inv=True, skip_rows=skip)
@@ -247,10 +246,9 @@ def induced_map(f: ChainMap, source_h: HomologyProfile, target_h: HomologyProfil
     """Push source homology generators through a chain map and reduce."""
     if source_h.slice is not f.source or target_h.slice is not f.target:
         raise ValueError("profiles do not match the chain map's slices")
-    if source_h.mode == "field" and target_h.mode != "field":
-        raise ValueError("cannot induce from a mod-p profile into an integral one")
-    if source_h.mode == "field" and source_h.coeff != target_h.coeff:
-        raise ValueError("coefficient mismatch between profiles")
+    if source_h.coeff and target_h.coeff != source_h.coeff:
+        raise ValueError(f"cannot induce from a {source_h.coeff_str} profile into a "
+                         f"{target_h.coeff_str} one")
     src_group = source_h.group(n)
     dst_group = target_h.group(n)
     cols = [target_h.reduce(n, f.mat(n).mul_vec(gen)) for gen in source_h.generators(n)]
@@ -462,10 +460,11 @@ def uct_crosscheck(slice_: ComplexSlice, primes: Sequence[int] = (2, 3, 5)) -> l
         raise ValueError("UCT cross-check applies to integral complexes")
     if not all(_is_prime(p) for p in primes):
         raise ValueError(f"UCT cross-check needs prime moduli, got {tuple(primes)}")
+    integral = homology(slice_)
     records = []
     for p in primes:
         field = homology(slice_, p)
         for n in range(field.top_degree + 1):
             records.append(UctRecord(n, p, len(field.group(n).torsion),
-                                     len(field.uct_groups[n].torsion)))
+                                     len(integral.group_with_coefficients(n, p).torsion)))
     return records

@@ -261,6 +261,23 @@ def test_quotient_chain_map_shapes():
     assert proj.mat(1).rows == 2 and proj.mat(1).cols == 3
 
 
+def test_trivial_q_gives_the_zero_cokernel():
+    # every orbit of the trivial group is free, so coker N is the zero complex
+    act = trivial_action(make_cyclic(5), make_cyclic(1))
+    dq = quotient_complex_D(act, 3)
+    assert dq.sizes == (0, 0, 0, 0) and dq.modulus == 0
+    assert dq.name == "norm-cokernel(cyclic:1 on cyclic:5)"
+    proj = quotient_chain_map(act, 3)
+    assert [(m.rows, m.cols) for m in proj.mats] == [(0, 1), (0, 5), (0, 25), (0, 125)]
+
+
+def test_cokernel_torsion_must_be_prime():
+    # Aut(Z/7) = Z/6 fixes only 0, so the degree-1 tuple (0,) has stabilizer 6
+    act = action_from_permutations(make_cyclic(7), [[0, 3, 6, 2, 5, 1, 4]])
+    with pytest.raises(GroupConstructionError, match="norm cokernel torsion 6 is not prime"):
+        quotient_complex_D(act, 2)
+
+
 def test_budget_estimation_and_rejection():
     assert estimate_build_bytes([8 ** n for n in range(9)]) > 2 * 1024 ** 3
     with pytest.raises(BudgetExceededError):

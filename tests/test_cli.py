@@ -245,6 +245,23 @@ def test_memo_is_keyed_by_action_content(tmp_path, capsys):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_trivial_and_non_prime_norm_cokernels(tmp_path, capsys):
+    identity = tmp_path / "identity.json"
+    identity.write_text("[[0,1,2,3,4,5,6]]")
+    code, data = run_json(capsys, ["compute", "--group", "cyclic:7", "--action",
+                                   f"perm:{identity}", "--max-degree", "2", "--maps"])
+    assert code == 0
+    assert data["quotient_homology"] == [{"degree": n, "free_rank": 0, "torsion": []}
+                                         for n in range(3)]
+    aut = tmp_path / "aut.json"
+    aut.write_text("[[0,3,6,2,5,1,4]]")
+    assert cli.main(["compute", "--group", "cyclic:7", "--action", f"perm:{aut}",
+                     "--max-degree", "2", "--maps"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: norm cokernel torsion 6 is not prime\n"
+
+
 def run_module(module, argv):
     # the child imports the package from where this process found it,
     # installed or not

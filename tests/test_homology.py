@@ -8,7 +8,7 @@ import pytest
 from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
                                      coinvariant_complex, invariant_complex,
                                      invariant_inclusion_chain_map, invariant_ses,
-                                     fixed_inclusion_chain_map, norm_chain_map,
+                                     fixed_inclusion_chain_map, make_chain_map, norm_chain_map,
                                      quotient_complex_D, s1_counterexample_complex,
                                      subgroup_bar_inclusion)
 from invariant_chains.errors import InternalCheckError
@@ -72,7 +72,7 @@ def test_mod_p_profile_cross_checked_and_composite_uct():
     bar = bar_complex(make_cyclic(6), 4)
     prof2 = homology(bar, 2)
     assert [str(g) for g in prof2.groups()] == ["Z/2", "Z/2", "Z/2", "Z/2"]
-    assert prof2.uct_groups[2] == prof2.group(2)
+    assert homology(bar).group_with_coefficients(2, 2) == prof2.group(2)
     prof6 = homology(bar, 6)  # composite: universal coefficients only
     assert [str(g) for g in prof6.groups()] == ["Z/6", "Z/6", "Z/6", "Z/6"]
     with pytest.raises(ValueError):
@@ -92,12 +92,25 @@ def test_induced_identity_map():
     act = negation_action(4)
     inv = invariant_complex(act, 3)
     prof = homology(inv)
-    from invariant_chains.chains import make_chain_map
-    from invariant_chains.linalg import SparseIntMatrix
     ident = make_chain_map("id", inv, inv,
                            [SparseIntMatrix.identity(s) for s in inv.sizes])
     for deg in (1, 2):
         assert induced_map(ident, prof, prof, deg) == AbelianHom.identity(prof.group(deg))
+
+
+def test_induced_map_stays_in_the_source_ring():
+    bar = bar_complex(make_cyclic(4), 3)
+    ident = make_chain_map("id", bar, bar, [SparseIntMatrix.identity(s) for s in bar.sizes])
+    over_z, over_2, over_3 = homology(bar), homology(bar, 2), homology(bar, 3)
+    with pytest.raises(ValueError, match="cannot induce from a Z/2 profile into a Z one"):
+        induced_map(ident, over_2, over_z, 1)
+    with pytest.raises(ValueError, match="cannot induce from a Z/2 profile into a Z/3 one"):
+        induced_map(ident, over_2, over_3, 1)
+    # Z -> Z/2 is reduction mod 2: H_1 = Z/4 onto Z/2
+    reduction = induced_map(ident, over_z, over_2, 1)
+    assert (reduction.source, reduction.target) == (FgAbelianGroup(0, (4,)),
+                                                    FgAbelianGroup(0, (2,)))
+    assert image_of_hom(reduction).order() == 2
 
 
 def test_istar_iso_for_odd_cyclic_degree_three():
