@@ -40,7 +40,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, EquivarianceError, GroupConstructionError, \
@@ -148,6 +148,7 @@ class ComplexSlice:
     modulus == 0 means a complex of free Z-modules; modulus == p means the
     boundaries are understood over Z/p (free Z/p-modules).  Slices compare
     and hash by identity, so a slice keys its own homology profiles.
+    `dd_checked` marks a slice whose d.d = 0 was checked as it was built.
     """
 
     name: str
@@ -156,6 +157,7 @@ class ComplexSlice:
     sizes: tuple[int, ...]
     boundaries: tuple[SparseIntMatrix, ...]
     modulus: int = 0
+    dd_checked: bool = False
 
     def d(self, n: int) -> SparseIntMatrix:
         if n == 0:
@@ -202,7 +204,7 @@ def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0) -> Compl
     slice_ = ComplexSlice(name, kind, max_degree, sizes, boundaries, modulus)
     if not dd_zero(slice_):
         raise InternalCheckError(f"d . d != 0 in {name}")
-    return slice_
+    return replace(slice_, dd_checked=True)
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,35 @@ profile, keyed by the slice object and the coefficients, until
 `chains.clear_caches()`; no two slices share a boundary, so each boundary
 is eliminated once per ring.
 
-Generator data comes from one Smith form U*d_n*V = D of rank r per degree,
-in the profile's ring (Z, or Z/p for a prime p): the cycles are V[:, r:],
-the boundaries in cycle coordinates are rows r: of V^-1*d_{n+1}, and their
-presentation gives the homology generators and a reducer that carries the
-cycle coordinates (V^-1*v)[r:] of a cycle v to homology coordinates.  That
-Smith form keeps V and V^-1 but not U or U^-1, whose lines are indexed by
-the rows, so it may leave out the rows of d_n that the profile skipped: they
-are ring combinations of the kept rows, so the kept rows have the kernel of
-d_n (see "Clearing" in `linalg`).  The profile's rank of d_n rests on the
-same skipped rows, so the presentation's agreement with that rank would not
-catch a wrong skip; each bundle checks on its own that d_n restricted to the
-skipped rows is zero on the cycles.
+Generator data runs on the Morse complex of the unit pivots.  A unit pivot
+u = d_n[a, b] is an elementary reduction pair (Kaczynski, Mrozek and
+Slusarek, Comput. Math. Appl. 35, 1998): without the (n-1)-cell a and the
+n-cell b the complex stays chain-homotopy equivalent, with d_n replaced by
+the Schur complement of u and d_{n+1} without row b.  One pass per slice
+takes the leading unit pivots of d_1, ..., d_max in order (the `pairs` mode
+of `linalg._SnfEngine`), d_n without the rows that d_{n-1}'s pairs named,
+and keeps each pair's column p and row q as they stood when it was chosen.
+The cells no pair names are the critical cells of the Morse complex M, and
+the working matrices left on them are its boundaries d_M: on bar(Z/6) one
+critical cell in each degree below the top.  H_n(M) is presented by one
+Smith form U*d_M*V = D of rank r per degree: the cycles are V[:, r:], the
+boundaries in cycle coordinates are rows r: of V^-1*d_M at n+1, and their
+presentation gives generators and a reducer.  The maps of the equivalence
+(Harker, Mischaikow, Mrozek and Nanda, Found. Comput. Math. 14, 2014) carry
+these to the slice.  phi: M -> C puts a chain on the critical n-cells, then
+for d_n's pairs in reverse sets y[b] = -u^-1 * (q . y), so that each pair's
+row vanishes on it; `generators(n)` is phi of M's generators.  psi: C -> M
+drops the n-cells d_n paired, subtracts (z[a]/u) * p for d_{n+1}'s pairs in
+order, and reads z on the critical cells; `reduce(n, z)` checks d_n*z = 0
+and reduces psi(z) in M.  phi is never needed at the top degree, so the
+pass keeps no rows of d_max.
+
+Reduction, like clearing, needs d.d = 0 in the ring.  The builders check it
+(`ComplexSlice.dd_checked`); any other slice is checked on its first
+generator request.  The pass never reads the profile's eliminations, so "the
+presented H_n(M) is the profile's group" stays an independent check; beside
+it each bundle checks d_M.d_M = 0, and for every generator g it lifts that
+d_n*phi(g) = 0 and psi(phi(g)) = g.
 """
 
 from __future__ import annotations
@@ -54,13 +71,30 @@ COEFF_Z = 0
 
 
 @dataclass
+class _Morse:
+    """The Morse complex M of a slice's unit reduction pairs, with the maps
+    psi: C -> M and phi: M -> C of its generator data.
+
+    `complex` has the critical cells and d_M; `critical[n]` lists the
+    critical n-cells.  For each degree n below the top, `lifts[n]` holds
+    (b, u^-1, q) for the pairs of d_n, and `pushes[n]` holds (a, u^-1, p)
+    for the pairs of d_{n+1} whose column p held more than the unit.
+    """
+
+    complex: ComplexSlice
+    critical: list[list[int]]
+    lifts: list[list[tuple[int, int, dict[int, int]]]]
+    pushes: list[list[tuple[int, int, dict[int, int]]]]
+
+
+@dataclass
 class _Bundle:
-    """Generator data at one degree, from U*d_n*V = D of rank r."""
+    """Generator data at one degree, from U*d_M*V = D of rank r on M."""
 
     rank: int
-    cycles: SparseIntMatrix  # V[:, r:]
-    v_inv: SparseIntMatrix  # V^-1; rows r: give cycle coordinates
-    presented: FgAbelianGroup  # cycles modulo boundaries, in cycle coordinates
+    v_inv: SparseIntMatrix  # V^-1; rows r: give cycle coordinates on M
+    presented: FgAbelianGroup  # cycles of M modulo boundaries, in cycle coordinates
+    gens: list[list[int]]  # phi of the presented generators, in the chain basis
 
 
 class HomologyProfile:
@@ -86,6 +120,7 @@ class HomologyProfile:
         self.coeff = coeff
         self.top_degree = slice_.max_degree - 1
         self._bundles: dict[int, _Bundle] = {}
+        self._morse: _Morse | None = None
         degrees = range(self.top_degree + 1)
         if coeff and not _is_prime(coeff):
             integral = homology(slice_)
@@ -93,18 +128,15 @@ class HomologyProfile:
             return
 
         # per boundary, d_0 = 0 first, then d_1..d_max: the invariant
-        # factors over Z, the rank over Z/p; d_n skips the rows d_{n-1}
-        # cleared, and `_skips[n]` keeps them for the generator data
-        data, skips, cleared = [0 if coeff else ()], [()], ()
+        # factors over Z, the rank over Z/p; d_n skips the rows d_{n-1} cleared
+        data, cleared = [0 if coeff else ()], ()
         for d in slice_.boundaries:
             skip, cleared = cleared, []
-            skips.append(skip)
             if coeff:
                 data.append(rank_mod_p(d, coeff, skip_rows=skip, cleared=cleared))
             else:
                 data.append(invariant_factors(d, skip_rows=skip, cleared=cleared))
         self._boundary_data = tuple(data)
-        self._skips = tuple(skips)
         sizes = slice_.sizes
         if coeff:
             self._groups = [FgAbelianGroup(0, (coeff,) * (sizes[n] - data[n] - data[n + 1]))
@@ -142,69 +174,141 @@ class HomologyProfile:
 
     # -- generator data -----------------------------------------------------
 
+    def _morse_complex(self) -> _Morse:
+        """One reduction pass per boundary, d_1..d_max in order, each
+        without the rows that the pairs of the pass before named."""
+        if self._morse is None:
+            slice_, mod = self.slice, self.coeff
+            if mod and not _is_prime(mod):
+                raise ValueError("no generator data for composite coefficients")
+            # reduction, like clearing, needs d.d = 0; builders checked it
+            if not slice_.dd_checked and not dd_zero(slice_):
+                raise InternalCheckError(
+                    f"boundary column is not a cycle: d . d != 0 in {slice_.name}")
+            top = slice_.max_degree
+            sizes = slice_.sizes
+
+            def inverse(u):
+                return pow(u, -1, mod) if mod else u  # u = +-1 over Z
+
+            # per degree n: the rows of d_n no pair names, d_n's pairs for
+            # phi and d_{n+1}'s for psi; phi is never needed at the top degree,
+            # so that pass keeps no rows
+            left, lifts, pushes, paired = [{}], [[]], [], set()
+            for n in range(1, top + 1):
+                eng = _SnfEngine(slice_.d(n), mod, skip_rows=paired, pairs=True,
+                                 pair_rows=n < top)
+                named = {a for a, *_ in eng.pairs} | paired
+                left.append({r: eng.ws.lines[r] for r in range(sizes[n - 1]) if r not in named})
+                if n < top:
+                    lifts.append([(b, inverse(u), q) for _, b, u, _, q in eng.pairs])
+                pushes.append([(a, inverse(u), p) for a, _, u, p, _ in eng.pairs if p is not None])
+                paired = {b for _, b, *_ in eng.pairs}
+                del eng
+            critical = [list(left[n + 1]) for n in range(top)]
+            critical.append([c for c in range(sizes[top]) if c not in paired])
+            boundaries = []
+            for n in range(1, top + 1):
+                # d_M's rows, as the columns of its transpose
+                column = {c: j for j, c in enumerate(critical[n])}
+                rows = [{column[c]: v for c, v in row.items() if c in column}
+                        for row in left[n].values()]
+                boundaries.append(
+                    SparseIntMatrix._trusted(len(column), len(rows), rows).transpose())
+            morse = ComplexSlice(f"Morse({slice_.name})", "morse", top,
+                                 tuple(map(len, critical)), tuple(boundaries), mod)
+            if not dd_zero(morse):
+                raise InternalCheckError(f"d_M . d_M != 0 in {morse.name}")
+            self._morse = _Morse(morse, critical, lifts, pushes)
+        return self._morse
+
+    def _phi(self, n: int, x: Sequence[int]) -> list[int]:
+        """The chain of C_n that phi gives the chain x of M_n: x on the critical
+        cells, then for d_n's pairs in reverse, y[b] = -u^-1 * (q . y)."""
+        morse, mod = self._morse, self.coeff
+        y = [0] * self.slice.sizes[n]
+        for c, v in zip(morse.critical[n], x):
+            y[c] = v
+        for b, u_inv, q in reversed(morse.lifts[n]):
+            s = sum(v * y[c] for c, v in q.items())
+            if s:
+                y[b] = -s * u_inv % mod if mod else -s * u_inv
+        return y
+
+    def _psi(self, n: int, z: Sequence[int]) -> list[int]:
+        """The chain of M_n that psi gives the chain z of C_n: for d_{n+1}'s
+        pairs in order z -= (z[a]/u) * p, then z on the critical cells.  The
+        cells d_n paired drop out, as no column p has their rows.  A unit
+        alone in its column changes no other cell, so only the pairs with a
+        longer column are stored."""
+        morse, mod = self._morse, self.coeff
+        z = list(z)
+        for a, u_inv, p in morse.pushes[n]:
+            if z[a]:
+                # over Z/p, f < p keeps the entries small without reducing them
+                f = z[a] * u_inv % mod if mod else z[a] * u_inv
+                for r, v in p.items():
+                    z[r] -= f * v
+        x = [z[c] for c in morse.critical[n]]
+        return [v % mod for v in x] if mod else x
+
     def _bundle(self, n: int) -> _Bundle:
         if n not in self._bundles:
             mod = self.coeff
-            if mod and not _is_prime(mod):
-                raise ValueError("no generator data for composite coefficients")
-            d_n = self.slice.d(n)
-            skip = self._skips[n]
-            eng = _SnfEngine(d_n, mod, want_v=True, want_v_inv=True, skip_rows=skip)
+            morse = self._morse_complex()
+            m = morse.complex
+            eng = _SnfEngine(m.d(n), mod, want_v=True, want_v_inv=True)
             r = len(eng.diag)
-            k = d_n.cols - r
-            cycles = SparseIntMatrix._trusted(d_n.cols, k, eng.v.lines[r:])
-            v_inv = eng.v_inv.to_matrix(d_n.cols, d_n.cols, by_rows=True)
-            del eng  # its working matrix, V[:, :r] and row-kept V^-1 go before the product
-            if skip:
-                # the profile's rank of d_n and this kernel both rest on the
-                # skip, so check it on its own: the skipped rows vanish on
-                # the cycles
-                rows = set(skip)
-                skipped = SparseIntMatrix._trusted(d_n.rows, d_n.cols, [
-                    {i: v for i, v in col.items() if i in rows} for col in d_n.columns])
-                residue = skipped.mul(cycles)
-                if not (residue.to_mod(mod) if mod else residue).is_zero():
-                    raise InternalCheckError(
-                        f"rows skipped at degree {n} do not vanish on the cycles")
-            # the relations, rows r: of V^-1*d_{n+1}, replace the product's
-            # columns one by one; neither `mul` nor the reduction stores a zero
-            relations = v_inv.mul(self.slice.d(n + 1)).columns
-            for j, col in enumerate(relations):
-                if mod:
-                    col = {i: v % mod for i, v in col.items() if v % mod}
-                if col and min(col) < r:
-                    raise InternalCheckError("boundary column is not a cycle")
-                relations[j] = {i - r: v for i, v in col.items()}
+            k = m.sizes[n]
+            cycles = SparseIntMatrix._trusted(k, k - r, eng.v.lines[r:])
+            v_inv = eng.v_inv.to_matrix(k, k, by_rows=True)
+            # V^-1*d_M at n+1: its rows r: are the boundaries in cycle
+            # coordinates, and d_M . d_M = 0 leaves nothing in rows :r
+            product = v_inv.mul(m.d(n + 1))
+            if mod:
+                product = product.to_mod(mod)
+            relations = [{i - r: v for i, v in col.items()} for col in product.columns]
             presented = present_fg_abelian(
-                k, SparseIntMatrix._trusted(k, len(relations), relations), mod)
+                k - r, SparseIntMatrix._trusted(k - r, len(relations), relations), mod)
             if presented != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "
                     f"rank/torsion computation")
-            self._bundles[n] = _Bundle(r, cycles, v_inv, presented)
+            d_n = self.slice.d(n)
+            gens = []
+            for g in presented.gens:
+                x = cycles.mul_vec(list(g))
+                if mod:
+                    x = [v % mod for v in x]
+                y = self._phi(n, x)
+                if self._nonzero(d_n.mul_vec(y)):
+                    raise InternalCheckError(f"lifted generator at degree {n} is not a cycle")
+                if self._psi(n, y) != x:
+                    raise InternalCheckError(f"psi(phi(g)) != g at degree {n}")
+                gens.append(y)
+            self._bundles[n] = _Bundle(r, v_inv, presented, gens)
         return self._bundles[n]
 
     def generators(self, n: int) -> list[list[int]]:
         """Explicit generating cycle vectors in the chain basis at degree n."""
         self.group(n)
-        bundle = self._bundle(n)
-        mod = self.coeff
-        out = []
-        for g in bundle.presented.gens:
-            vec = bundle.cycles.mul_vec(list(g))
-            out.append([x % mod for x in vec] if mod else vec)
-        return out
+        return [list(g) for g in self._bundle(n).gens]
 
     def reduce(self, n: int, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of a cycle vector in the homology basis at degree n."""
         self.group(n)
         bundle = self._bundle(n)
-        w = bundle.v_inv.mul_vec(list(vec))
-        if self.coeff:
-            w = [x % self.coeff for x in w]
-        if any(w[:bundle.rank]):
+        if self._nonzero(self.slice.d(n).mul_vec(list(vec))):
             raise InternalCheckError(f"vector to reduce is not a cycle over {self.coeff_str}")
+        w = bundle.v_inv.mul_vec(self._psi(n, vec))
+        if self._nonzero(w[:bundle.rank]):
+            raise InternalCheckError(f"psi of the cycle at degree {n} is not a cycle of M")
         return bundle.presented.reduce(w[bundle.rank:])
+
+    def _nonzero(self, vec: Sequence[int]) -> bool:
+        """Whether vec is nonzero in the profile's ring."""
+        mod = self.coeff
+        return any(v % mod for v in vec) if mod else any(vec)
 
     # -- reporting ----------------------------------------------------------
 

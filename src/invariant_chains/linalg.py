@@ -92,14 +92,16 @@ of rows B: a unimodular row operation makes them zero, which changes no
 invariant factor and no rank.  Past a non-unit pivot, gcd steps mix a pivot
 column with others, and a later unit pivot need not give such an L.
 
-The same rows may be skipped by a run that keeps V and V^-1.  Since rows A
-are combinations of rows B, d_{n+1} and d_{n+1}[B, :] have the same kernel,
-so a unimodular V for the restricted matrix still gives a saturated basis
-V[:, r:] of ker d_{n+1}, and rows r: of V^-1 still give coordinates on it.
-Runs that keep U or U^-1 may not skip rows: the lines of those transforms
-are indexed by the rows of M, and a skipped row would have none.
-`homology` uses the skip for generator data and checks, in the ring, that
-the skipped rows vanish on the kernel basis it reads off V.
+Reduction pairs.  With `pairs=True` a transform-free run records its
+leading unit pivots, as the pairs (a, b, u, p, q) of Kaczynski, Mrozek and
+Slusarek: row a, column b, the pivot u, and the pivot's column p and row q
+as they stood when it was chosen (p is None for a unit alone in its
+column, q is None unless `pair_rows`).  It stops at the first pivot that is
+not a unit, so the working matrix it leaves, outside the pivot lines, is
+the reduced boundary: each unit clear adds multiples of the pivot row to the
+rows of the pivot column, the Schur complement of u.  `homology` chains
+such runs, d_n skipping the rows that d_{n-1}'s pairs name, into the Morse
+complex of its generator data.
 """
 
 from __future__ import annotations
@@ -420,21 +422,22 @@ class _SnfEngine:
     the same index order, and clear each by dropping its row as the
     pre-pass does.
 
-    A run that keeps neither U nor U^-1 may leave out `skip_rows` (never
-    loaded; the other rows keep their indices): V, V^-1 and the diagonal
-    are indexed by the columns and the pivots, but U and U^-1 by the rows of
-    M.  `cleared` lists the columns whose rows the next boundary may skip:
-    see "Clearing" in the module docstring.  Every
-    run, in either ring, with or without transforms, takes its pivots by the
-    one rule of the module docstring: units first, then over Z every entry.
+    A transform-free run may leave out `skip_rows` (never loaded; the other
+    rows keep their indices), and may record its unit pivots as reduction
+    pairs in `pairs` (see the module docstring).  `cleared` lists the
+    columns whose rows the next boundary may skip: see "Clearing" in the
+    module docstring.  Every run, in either ring, with or without
+    transforms, takes its pivots by the one rule of the module docstring:
+    units first, then over Z every entry.
     """
 
     def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
                  want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False,
-                 skip_rows: Iterable[int] = ()):
+                 skip_rows: Iterable[int] = (), pairs: bool = False, pair_rows: bool = False):
         skip = set(skip_rows)
-        if skip and (want_u or want_u_inv):
-            raise ValueError("rows can be skipped only without U and U^-1")
+        if (skip or pairs) and (want_u or want_u_inv or want_v or want_v_inv):
+            raise ValueError("rows can be skipped, and pairs recorded, only without "
+                             "U and U^-1, V and V^-1")
         self.m = m
         self.mod = mod
         ws = self.ws = _IndexedLines(m.rows, mod)
@@ -462,6 +465,8 @@ class _SnfEngine:
         self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
         self.cleared: list[int] = []
+        self.pairs: list[tuple] | None = [] if pairs else None
+        self._pair_rows = pair_rows
         self._pivots: list[tuple[int, int]] = []
         self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
         self._done = [False] * m.cols
@@ -630,10 +635,13 @@ class _SnfEngine:
                 continue  # its one row was dropped as another pivot's
             r0 = next(iter(rows))
             piv = lines[r0][c0]
-            if not self.mod and piv != 1 and piv != -1:
+            if not self._unit(piv):
                 continue
             self._done[c0] = True
             self.cleared.append(c0)
+            if self.pairs is not None:
+                # `_drop_row` gives r0 a new dict and leaves this one as it is
+                self.pairs.append((r0, c0, piv, None, lines[r0] if self._pair_rows else None))
             self._drop_row(r0, c0, lone)
             if piv < 0:
                 self._row_negate(r0)
@@ -652,13 +660,25 @@ class _SnfEngine:
         self.diag.append(piv)
         self._pivots.append((r0, c0))
 
+    def _unit(self, a: int) -> bool:
+        """Whether the pivot a counts as a unit for `cleared` and `pairs`."""
+        return self.mod > 0 or a == 1 or a == -1
+
     def _run(self):
         ws = self.ws
         units = True  # every pivot so far was a unit when chosen, the pre-pass's too
         while (picked := self._choose_pivot()) is not None:
             r0, c0 = picked
+            units = units and self._unit(ws.lines[r0][c0])
+            if self.pairs is not None:
+                if not units:
+                    break
+                # a unit's clear changes other rows and then replaces row r0
+                lines = ws.lines
+                self.pairs.append((r0, c0, lines[r0][c0],
+                                   {r: lines[r][c0] for r in ws.cross[c0]},
+                                   lines[r0] if self._pair_rows else None))
             self._done[c0] = True
-            units = units and (self.mod > 0 or abs(ws.lines[r0][c0]) == 1)
             if units:
                 self.cleared.append(c0)
             while True:

@@ -324,8 +324,9 @@ def test_boundary_that_is_not_a_cycle_is_caught():
 @pytest.mark.parametrize("mod", [0, 2])
 def test_a_skipped_row_that_is_not_redundant_is_caught(monkeypatch, mod):
     # d_3 of bar(Z/3) skips the rows d_2 cleared; add one more row whose loss
-    # lowers the rank.  The profile's rank of d_3 and the bundle's kernel then
-    # agree with each other, so only the check of the skipped rows sees it.
+    # lowers the rank.  The generator data reduces the boundaries in its own
+    # pass, which never reads the profile's cleared columns, so its presented
+    # group disagrees with the profile's.
     bar = bar_complex(make_cyclic(3), 4)
     slc = ComplexSlice("bar(Z/3)", "test", 4, bar.sizes, bar.boundaries, mod)
     d2, d3 = slc.d(2), slc.d(3)
@@ -339,6 +340,7 @@ def test_a_skipped_row_that_is_not_redundant_is_caught(monkeypatch, mod):
     rank(d2, cleared=cleared)
     full = rank(d3, cleared)
     extra = next(i for i in range(d3.rows) if i not in cleared and rank(d3, cleared + [i]) < full)
+    expected = HomologyProfile(slc, mod).group(3)
 
     def widening(real):
         def run(d, *args, cleared, **kwargs):
@@ -351,9 +353,78 @@ def test_a_skipped_row_that_is_not_redundant_is_caught(monkeypatch, mod):
     for name in ("invariant_factors", "rank_mod_p"):
         monkeypatch.setattr(homology_module, name, widening(getattr(homology_module, name)))
     prof = HomologyProfile(slc, mod)
-    assert extra in prof._skips[3]
-    with pytest.raises(InternalCheckError, match="rows skipped at degree 3 do not vanish"):
+    assert prof.group(3) != expected
+    with pytest.raises(InternalCheckError,
+                       match="generator presentation at degree 3 disagrees"):
         prof.generators(3)
+
+
+# ---------------------------------------------------------------------------
+# generator data on the Morse complex: each inline check catches its fault
+
+
+def test_builder_slices_skip_the_dd_guard_and_hand_built_ones_run_it(monkeypatch):
+    homology_module = importlib.import_module("invariant_chains.homology")
+    checked = []
+
+    def counting(slice_):
+        checked.append(slice_.kind)
+        return dd_zero(slice_)
+
+    monkeypatch.setattr(homology_module, "dd_zero", counting)
+    bar = bar_complex(make_cyclic(4), 4)
+    assert bar.dd_checked
+    HomologyProfile(bar).generators(3)
+    assert checked == ["morse"]  # only the Morse complex's own check
+    checked.clear()
+    by_hand = ComplexSlice("bar(Z/4)", "test", 4, bar.sizes, bar.boundaries)
+    assert not by_hand.dd_checked
+    HomologyProfile(by_hand).generators(3)
+    assert checked == ["test", "morse"]
+
+
+def test_a_lift_that_is_not_a_cycle_is_caught():
+    # without d_n's pairs, phi leaves each generator on its critical cells
+    slc = bar_complex(make_cyclic(4), 4)
+    for coeff, n in ((0, 3), (2, 2)):
+        prof = HomologyProfile(slc, coeff)
+        prof._morse_complex().lifts[n] = []
+        with pytest.raises(InternalCheckError, match=f"lifted generator at degree {n}"):
+            prof.generators(n)
+
+
+def test_psi_that_does_not_invert_phi_is_caught():
+    # a pair that claims a critical cell: psi moves it away, phi never wrote it
+    slc = bar_complex(make_cyclic(4), 4)
+    for coeff in (0, 2):
+        prof = HomologyProfile(slc, coeff)
+        morse = prof._morse_complex()
+        for c in morse.critical[1]:
+            morse.pushes[1].append((c, 1, {c: 1}))
+        with pytest.raises(InternalCheckError, match=r"psi\(phi\(g\)\) != g at degree 1"):
+            prof.generators(1)
+
+
+def test_a_morse_complex_with_dd_nonzero_is_caught():
+    # d_1 * d_2 = 6 and no unit pivot, so M is the slice itself; the slice
+    # claims a checked d.d = 0, so only the check on M is left to see it
+    d1, d2 = SparseIntMatrix.from_dense([[2]]), SparseIntMatrix.from_dense([[3]])
+    slc = ComplexSlice("broken", "test", 2, (1, 1, 1), (d1, d2), dd_checked=True)
+    with pytest.raises(InternalCheckError, match=r"d_M \. d_M != 0 in Morse\(broken\)"):
+        HomologyProfile(slc).generators(1)
+
+
+def test_a_non_unit_pivot_taken_as_a_unit_is_caught(monkeypatch):
+    # column [1|1] of d_2 of bar(Z/2) is 2[1] - [0]; once the lone unit
+    # [0|0] takes row [0], a +-2 accepted as a unit pairs [1] with [1|1] and
+    # leaves no critical 1-cell for H_1 = Z/2
+    linalg = importlib.import_module("invariant_chains.linalg")
+    prof = HomologyProfile(bar_complex(make_cyclic(2), 3))
+    assert prof.group(1) == FgAbelianGroup(0, (2,))
+    monkeypatch.setattr(linalg._SnfEngine, "_unit",
+                        lambda self, a: self.mod > 0 or a in (1, -1, 2, -2))
+    with pytest.raises(InternalCheckError, match="generator presentation at degree 1"):
+        prof.generators(1)
 
 
 def test_uct_crosscheck_reads_the_field_profiles(monkeypatch):

@@ -761,34 +761,22 @@ def test_cleared_rows_keep_factors_and_ranks(boundaries):
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(z_complexes())
-def test_cleared_rows_keep_kernels_and_presentations(boundaries):
-    # a complex d_1, d_2, d_3 whose homology has generator data in degrees 0-2
+def test_morse_bundles_present_the_profile_groups(boundaries):
+    # a complex d_1, d_2, d_3 whose homology has generator data in degrees
+    # 0-2; the generator data presents H_n of the complex its own unit
+    # reduction pairs leave, and each lifted generator reduces to its own
+    # coordinate vector
     sizes = (boundaries[0].rows,) + tuple(d.cols for d in boundaries)
     slc = ComplexSlice("pieces", "test", 3, sizes, tuple(boundaries))
     for mod in (0, 2, 3, 5):
-        # skips[n]: the rows d_n skips, none for d_0 and d_1
-        skips = [(), ()] + [cleared for _, cleared in chained_runs(boundaries, mod)[:-1]]
-        for n, d in enumerate(boundaries, 1):
-            full = _SnfEngine(d, mod, want_v=True, want_v_inv=True)
-            kept = _SnfEngine(d, mod, want_v=True, want_v_inv=True, skip_rows=skips[n])
-            r = len(kept.diag)
-            assert r == len(full.diag)
-            v = kept.v.to_matrix(d.cols, d.cols, by_rows=False)
-            v_inv = kept.v_inv.to_matrix(d.cols, d.cols, by_rows=True)
-            residue = d.mul(SparseIntMatrix(d.cols, d.cols - r, v.columns[r:]))
-            identity = v_inv.mul(v)
-            if mod:
-                residue, identity = residue.to_mod(mod), identity.to_mod(mod)
-            assert residue.is_zero()
-            assert identity == SparseIntMatrix.identity(d.cols)
-        # the profile's bundles skip the chained rows; with its skips emptied,
-        # a second profile builds the full-row bundles
-        prof, unskipped = homology(slc, mod), HomologyProfile(slc, mod)
-        assert list(prof._skips) == skips
-        unskipped._skips = ((),) * len(skips)
+        prof = HomologyProfile(slc, mod)
         for n in range(3):
-            assert prof._bundle(n).presented == unskipped._bundle(n).presented == prof.group(n)
-    clear_caches()
+            group = prof.group(n)
+            assert prof._bundle(n).presented == group
+            gens = prof.generators(n)
+            assert [prof.reduce(n, g) for g in gens] == [
+                group.normalize([int(i == j) for i in range(group.ngens)])
+                for j in range(group.ngens)]
 
 
 def test_cleared_stops_at_the_first_nonunit_pivot():
@@ -797,6 +785,7 @@ def test_cleared_stops_at_the_first_nonunit_pivot():
     cleared = []
     assert invariant_factors(d1, cleared=cleared) == (1,)
     assert cleared == []
+    assert _SnfEngine(d1, pairs=True).pairs == []  # reduction pairs stop there too
     assert invariant_factors(d2, skip_rows=cleared) == (1,)
     assert invariant_factors(d2, skip_rows=[0]) == (2,)  # what skipping row 0 would give
     for p in (2, 3):
@@ -806,11 +795,17 @@ def test_cleared_stops_at_the_first_nonunit_pivot():
     cleared = []
     assert invariant_factors(d1, cleared=cleared) == (1,)
     assert cleared == [1]
+    # the pair (row 0, column 1, pivot 1): a lone unit, row [2, 1] as found
+    assert _SnfEngine(d1, pairs=True, pair_rows=True).pairs == [(0, 1, 1, None, {0: 2, 1: 1})]
     assert invariant_factors(d2, skip_rows=cleared) == (1,)
-    # U and U^-1 are indexed by the rows, so runs that keep them skip none
+    # U and U^-1 are indexed by the rows, so runs that keep them skip none,
+    # and reduction runs keep no transform
     for want in ("want_u", "want_u_inv"):
         with pytest.raises(ValueError, match="without U and U"):
             _SnfEngine(d2, skip_rows=[0], **{want: True})
+    for want in ("want_u", "want_v", "want_u_inv", "want_v_inv"):
+        with pytest.raises(ValueError, match="without U and U"):
+            _SnfEngine(d2, pairs=True, **{want: True})
 
 
 def test_clearing_reaches_every_pivot_of_inv_z6_d5():
