@@ -18,7 +18,7 @@ A profile eliminates each boundary once: its invariant factors over Z, or
 its rank over Z/p.  It takes d_1, d_2, ... in order, and d_{n+1} skips the
 rows that d_n cleared in the same ring (see `linalg`), so the field pass
 stays independent of the integral one.  The memo of `chains` keeps each
-profile, keyed by the slice object and the coefficients, until
+profile, keyed by the slice object and the ring coeff, until
 `chains.clear_caches()`; no two slices share a boundary, so each boundary
 is eliminated once per ring.
 
@@ -33,17 +33,19 @@ and keeps each pair's column p and row q as they stood when it was chosen.
 The cells no pair names are the critical cells of the Morse complex M, and
 the working matrices left on them are its boundaries d_M: on bar(Z/6) one
 critical cell in each degree below the top.  H_n(M) is presented by one
-Smith form U*d_M*V = D of rank r per degree: the cycles are V[:, r:], the
-boundaries in cycle coordinates are rows r: of V^-1*d_M at n+1, and their
-presentation gives generators and a reducer.  The maps of the equivalence
-(Harker, Mischaikow, Mrozek and Nanda, Found. Comput. Math. 14, 2014) carry
-these to the slice.  phi: M -> C puts a chain on the critical n-cells, then
+Smith form U*d_M^T*V = D of rank r per degree, which keeps U and U^-1: the
+rows r: of U are a basis of the cycles (row i of U*d_M^T is 0 for i >= r),
+the columns r: of U^-1, transposed, give a cycle's coordinates in that
+basis, the coordinates of the columns of d_M at n+1 are the relations, and
+their presentation gives generators and a reducer.  The maps of the
+equivalence (Harker, Mischaikow, Mrozek and Nanda, Found. Comput. Math. 14,
+2014) carry these to the slice.  phi: M -> C puts a chain on the critical n-cells, then
 for d_n's pairs in reverse sets y[b] = -u^-1 * (q . y), so that each pair's
 row vanishes on it; `generators(n)` is phi of M's generators.  psi: C -> M
 drops the n-cells d_n paired, subtracts (z[a]/u) * p for d_{n+1}'s pairs in
 order, and reads z on the critical cells; `reduce(n, z)` checks d_n*z = 0
-and reduces psi(z) in M.  phi is never needed at the top degree, so the
-pass keeps no rows of d_max.
+and d_M*psi(z) = 0, and reduces psi(z) in M.  phi is never needed at the
+top degree, so the pass keeps no rows of d_max.
 
 Reduction, like clearing, needs d.d = 0 in the ring.  The builders check it
 (`ComplexSlice.dd_checked`); any other slice is checked on its first
@@ -89,10 +91,11 @@ class _Morse:
 
 @dataclass
 class _Bundle:
-    """Generator data at one degree, from U*d_M*V = D of rank r on M."""
+    """Generator data at one degree, from U*d_M^T*V = D of rank r on M: the
+    cycles of M are the rows r: of U, and the columns r: of U^-1 give the
+    coordinates of a cycle of M in that basis."""
 
-    rank: int
-    v_inv: SparseIntMatrix  # V^-1; rows r: give cycle coordinates on M
+    coords: SparseIntMatrix  # the columns r: of U^-1, transposed
     presented: FgAbelianGroup  # cycles of M modulo boundaries, in cycle coordinates
     gens: list[list[int]]  # phi of the presented generators, in the chain basis
 
@@ -257,19 +260,16 @@ class HomologyProfile:
             mod = self.coeff
             morse = self._morse_complex()
             m = morse.complex
-            eng = _SnfEngine(m.d(n), mod, want_v=True, want_v_inv=True)
+            eng = _SnfEngine(m.d(n).transpose(), mod, want_u=True, want_u_inv=True)
             r = len(eng.diag)
             k = m.sizes[n]
-            cycles = SparseIntMatrix._trusted(k, k - r, eng.v.lines[r:])
-            v_inv = eng.v_inv.to_matrix(k, k, by_rows=True)
-            # V^-1*d_M at n+1: its rows r: are the boundaries in cycle
-            # coordinates, and d_M . d_M = 0 leaves nothing in rows :r
-            product = v_inv.mul(m.d(n + 1))
+            cycles = SparseIntMatrix._trusted(k, k - r, eng.u.lines[r:])
+            coords = SparseIntMatrix._trusted(k, k - r, eng.u_inv.lines[r:]).transpose()
+            # the boundaries of M in cycle coordinates
+            relations = coords.mul(m.d(n + 1))
             if mod:
-                product = product.to_mod(mod)
-            relations = [{i - r: v for i, v in col.items()} for col in product.columns]
-            presented = present_fg_abelian(
-                k - r, SparseIntMatrix._trusted(k - r, len(relations), relations), mod)
+                relations = relations.to_mod(mod)
+            presented = present_fg_abelian(k - r, relations, mod)
             if presented != self._groups[n]:
                 raise InternalCheckError(
                     f"generator presentation at degree {n} disagrees with the "
@@ -286,7 +286,7 @@ class HomologyProfile:
                 if self._psi(n, y) != x:
                     raise InternalCheckError(f"psi(phi(g)) != g at degree {n}")
                 gens.append(y)
-            self._bundles[n] = _Bundle(r, v_inv, presented, gens)
+            self._bundles[n] = _Bundle(coords, presented, gens)
         return self._bundles[n]
 
     def generators(self, n: int) -> list[list[int]]:
@@ -300,10 +300,10 @@ class HomologyProfile:
         bundle = self._bundle(n)
         if self._nonzero(self.slice.d(n).mul_vec(list(vec))):
             raise InternalCheckError(f"vector to reduce is not a cycle over {self.coeff_str}")
-        w = bundle.v_inv.mul_vec(self._psi(n, vec))
-        if self._nonzero(w[:bundle.rank]):
+        x = self._psi(n, vec)
+        if self._nonzero(self._morse.complex.d(n).mul_vec(x)):
             raise InternalCheckError(f"psi of the cycle at degree {n} is not a cycle of M")
-        return bundle.presented.reduce(w[bundle.rank:])
+        return bundle.presented.reduce(bundle.coords.mul_vec(x))
 
     def _nonzero(self, vec: Sequence[int]) -> bool:
         """Whether vec is nonzero in the profile's ring."""
@@ -329,8 +329,9 @@ class HomologyProfile:
 
 
 def homology(slice_: ComplexSlice, coefficients: int = COEFF_Z) -> HomologyProfile:
-    """Homology of a slice over Z (coefficients=0) or Z/m, kept in the chains memo."""
-    key = ("homology", slice_, coefficients)
+    """Homology of a slice over Z (coefficients=0) or Z/m, kept in the chains
+    memo under its ring, so that a Z/p slice has one profile."""
+    key = ("homology", slice_, coefficients or slice_.modulus)
     if key not in _memo:
         _memo[key] = HomologyProfile(slice_, coefficients)
     return _memo[key]

@@ -1,8 +1,9 @@
 """Exact sparse linear algebra over Z and Z/p.
 
 One elimination routine does all the work: a sparse Smith normal form
-U*M*V = D over Z or over Z/p, p prime, that carries whichever of U, U^-1, V
-and V^-1 its caller asks for.  Everything else is read off it:
+U*M*V = D over Z or over Z/p, p prime, that carries whichever of the three
+transforms U, U^-1 and V its caller asks for.  Everything else is read off
+it:
 
   * smith_normal_form, invariant_factors -- the Smith form over Z
   * rank_mod_p             -- the rank of M mod p, by its own elimination mod p
@@ -21,14 +22,13 @@ over Z/p.  The pivot column is the column without a pivot that holds a
 unit and has the fewest nonzeros, ties to the lowest index; in it the pivot
 row is the unit entry of least (row length, magnitude, row index).  When no
 column holds a unit, which happens only over Z, the same rule reads every
-entry as a candidate.  A run that keeps neither V nor V^-1 first takes,
-with no queue, every unit alone in its column, least column first (see
-below): no live column has fewer than one nonzero, so these are the pivots
-the rule picks first, in the same order.  After that a unit column comes
-from a priority queue keyed by (nonzero count, column index), re-keyed only
-for the columns whose counts the elementary operations since the last pivot
-could change, and checked as keys reach the top for a column that still
-holds a unit.  Once the queue is empty, one pass over the live columns makes
+entry as a candidate.  Every run first takes, with no queue, every unit
+alone in its column, least column first (see below): no live column has
+fewer than one nonzero, so these are the pivots the rule picks first, in
+the same order.  After that a unit column comes from a priority queue
+keyed by (nonzero count, column index), re-keyed only for the columns whose
+counts the elementary operations since the last pivot could change, and
+checked as keys reach the top for a column that still holds a unit.  Once the queue is empty, one pass over the live columns makes
 the choice without a unit.
 That is rare (29 of the 2,768 pivots of the benchmark ladder's integral
 eliminations), and a pivot that stays a non-unit is followed by a scan of
@@ -49,18 +49,18 @@ steps happen only over Z.
 
 Only the working matrix carries a cross index (for each column, the rows
 with an entry there): its column operations reach rows through it, and the
-pivot queue reads the column counts off it.  The transforms U, U^-1, V and
-V^-1 receive only whole-line operations and are read line by line, so they
-are plain lists of dicts.  When the pivot is a unit alone in its column
-and neither V nor V^-1 is kept, each column operation of the pivot-row
-clear would only delete one entry of that row (a unit divides every entry)
-and nothing records it, so the engine drops the row's other entries in one
-step: a reduction pair in the sense of Kaczynski, Mrozek and
-Slusarek (1998).  The matrix, U, U^-1 and every later pivot are the same as
-with one column operation per entry.  Such runs begin with these pairs: a
-heap of the columns with one nonzero gives the least such column; if its
-entry is a unit it is the pivot, its row is dropped, and each column whose
-count falls to 1 joins the heap.  A -1 pivot is negated by a row operation,
+pivot queue reads the column counts off it.  The transforms U, U^-1 and V
+receive only whole-line operations and are read line by line, so they are
+plain lists of dicts.  When the pivot is a unit alone in its column, each
+column operation of the pivot-row clear would only delete one entry of that
+row (a unit divides every entry), so the engine drops the row's other
+entries in one step, and a kept V receives those column operations: a
+reduction pair in the sense of Kaczynski, Mrozek and Slusarek (1998).  The
+matrix, U, U^-1, V and every later pivot are the same as with one column
+operation per entry.  Every run begins with these pairs: a heap of the
+columns with one nonzero gives the least such column; if its entry is a
+unit it is the pivot, its row is dropped, and each column whose count
+falls to 1 joins the heap.  A -1 pivot is negated by a row operation,
 which U and U^-1 record.  The pivot queue is built only over the columns
 left, so the pairs cost none of its keys, each of which a dropped row would
 otherwise have made stale.  With the rows of a cleared predecessor skipped,
@@ -69,7 +69,7 @@ eliminations over Z, Z/2, Z/3 and Z/5.
 
 There is one sparse format: a `SparseIntMatrix` keeps one {row: value} dict
 per column, as a column-kept `_Lines` does.  So V, U^-1 and kernel bases
-become matrices without a copy; U and V^-1, kept by rows, are transposed once.
+become matrices without a copy; the rows of U are read as they are kept.
 
 Clearing.  A transform-free elimination of d_n reports `cleared`, a set A of
 its columns, and the elimination of d_{n+1} may take A as `skip_rows`: those
@@ -277,8 +277,8 @@ class _Lines:
     """Mutable sparse matrix stored as one dict per line, over Z or Z/mod.
 
     A line is a row or a column, whichever the owner chooses, and only line
-    operations are supported.  This is the store of the transforms U, U^-1,
-    V and V^-1: each is kept so that every operation it receives acts on
+    operations are supported.  This is the store of the transforms U, U^-1
+    and V: each is kept so that every operation it receives acts on
     whole lines, and each is read only line by line, so it keeps no index of
     positions.  The working matrix, which also receives operations on
     positions, is an `_IndexedLines`.
@@ -296,12 +296,6 @@ class _Lines:
         for i in range(n):
             ws.lines[i][i] = 1
         return ws
-
-    def to_matrix(self, rows: int, cols: int, by_rows: bool) -> SparseIntMatrix:
-        """The lines as a rows x cols matrix; kept by columns, they are handed over as they are."""
-        if by_rows:
-            return SparseIntMatrix._trusted(cols, rows, self.lines).transpose()
-        return SparseIntMatrix._trusted(rows, cols, self.lines)
 
     def axpy(self, src: int, dst: int, k: int) -> None:
         # line[dst] += k * line[src]
@@ -405,22 +399,23 @@ class SnfResult:
 class _SnfEngine:
     """Sparse Smith normal form U*M*V = D over Z (mod = 0) or Z/p (mod = p).
 
-    Each requested transform among U, U^-1, V and V^-1 follows every
-    elementary operation.  Over Z the diagonal is positive and a divisibility
+    Each requested transform among U, U^-1 and V follows every elementary
+    operation.  Over Z the diagonal is positive and a divisibility
     chain; over Z/p, p prime, every nonzero pivot is a unit, so its entries
     are just the nonzero pivots.  In both rings len(diag) is the rank.
 
     Pivots stay where they are found, and a column that holds one is marked
     in `_done`; `_pivots` lists them in the order taken.  After the last
-    pivot the lines of U and U^-1 are put in row order and those of V and
-    V^-1 in column order: the pivot lines in pivot order, then the other
-    lines by ascending index.
+    pivot the lines of U and U^-1 are put in row order and those of V in
+    column order: the pivot lines in pivot order, then the other lines by
+    ascending index.
 
-    Without V and V^-1, `_take_lone_units` takes the units alone in their
-    columns before the pivot queue is built.  It changes no pivot: count 1
-    is the least count, so the queue would take the same columns first, in
-    the same index order, and clear each by dropping its row as the
-    pre-pass does.
+    Every run first lets `_take_lone_units` take the units alone in their
+    columns, before the pivot queue is built.  It changes no pivot and no
+    transform line: count 1 is the least count, so the queue would take the
+    same columns first, in the same index order, and clear each by dropping
+    its row as the pre-pass does.  No branch of a run depends on which
+    transforms it keeps.
 
     A transform-free run may leave out `skip_rows` (never loaded; the other
     rows keep their indices), and may record its unit pivots as reduction
@@ -432,12 +427,12 @@ class _SnfEngine:
     """
 
     def __init__(self, m: SparseIntMatrix, mod: int = 0, want_u: bool = False,
-                 want_v: bool = False, want_u_inv: bool = False, want_v_inv: bool = False,
+                 want_v: bool = False, want_u_inv: bool = False,
                  skip_rows: Iterable[int] = (), pairs: bool = False, pair_rows: bool = False):
         skip = set(skip_rows)
-        if (skip or pairs) and (want_u or want_u_inv or want_v or want_v_inv):
+        if (skip or pairs) and (want_u or want_u_inv or want_v):
             raise ValueError("rows can be skipped, and pairs recorded, only without "
-                             "U and U^-1, V and V^-1")
+                             "U and U^-1 and V")
         self.m = m
         self.mod = mod
         ws = self.ws = _IndexedLines(m.rows, mod)
@@ -458,11 +453,10 @@ class _SnfEngine:
                     rows[r] = None
             if rows:
                 cross[c] = rows
-        # U and V^-1 are kept by rows, U^-1 and V by columns
+        # U is kept by rows, U^-1 and V by columns
         self.u = _Lines.identity(m.rows, mod) if want_u else None
         self.u_inv = _Lines.identity(m.rows, mod) if want_u_inv else None
         self.v = _Lines.identity(m.cols, mod) if want_v else None
-        self.v_inv = _Lines.identity(m.cols, mod) if want_v_inv else None
         self.diag: list[int] = []
         self.cleared: list[int] = []
         self.pairs: list[tuple] | None = [] if pairs else None
@@ -485,8 +479,7 @@ class _SnfEngine:
         # before the next choice.  Once the queue is empty, which happens
         # only over Z, `_choose_pivot` reads the live columns off `cross`.
         self._rows_touched: set[int] = set()
-        if self.v is None and self.v_inv is None:
-            self._take_lone_units()
+        self._take_lone_units()
         self._rebuild_queue()
         self._run()
 
@@ -513,16 +506,11 @@ class _SnfEngine:
         self._rekey(dst)
         if self.v is not None:
             self.v.axpy(src, dst, k)
-        if self.v_inv is not None:
-            # F = I + k e_src e_dst^T; V^-1 <- F^-1 V^-1: row src -= k * row dst
-            self.v_inv.axpy(dst, src, -k)
 
     def _col_negate(self, i):
         self.ws.cross_negate(i)
         if self.v is not None:
             self.v.negate(i)
-        if self.v_inv is not None:
-            self.v_inv.negate(i)
 
     def _gcd_step(self, p, o, a, b, axpy, negate):
         """Leave g = gcd(a, b) > 0 in line p, the pivot's, and 0 in line o.
@@ -700,8 +688,7 @@ class _SnfEngine:
         # move D's entry k from (r_k, c_k) to (k, k)
         rows = _pivots_first([r for r, _ in self._pivots], self.m.rows)
         cols = _pivots_first([c for _, c in self._pivots], self.m.cols)
-        for lines, order in ((self.u, rows), (self.u_inv, rows),
-                             (self.v, cols), (self.v_inv, cols)):
+        for lines, order in ((self.u, rows), (self.u_inv, rows), (self.v, cols)):
             if lines is not None:
                 lines.lines = [lines.lines[i] for i in order]
 
@@ -732,9 +719,7 @@ class _SnfEngine:
                     self._gcd_step(r0, r, a, b, self._row_axpy, self._row_negate)
             # clear row r0 with col ops; a gcd step may refill column c0
             row = ws.lines[r0]
-            piv = row[c0]
-            if (len(cross[c0]) == 1 and (self.mod or abs(piv) == 1)
-                    and self.v is None and self.v_inv is None):
+            if len(cross[c0]) == 1 and self._unit(row[c0]):
                 self._drop_row(r0, c0)
                 return
             for c in sorted(c for c in row if c != c0):
@@ -752,14 +737,18 @@ class _SnfEngine:
         """Delete the entries of row r0 outside column c0, where a unit is alone.
 
         Each col c -= q * col c0 of the pivot-row clear would only zero the
-        entry (r0, c), and with no V or V^-1 kept nothing records it, so
-        the row's other entries go at once.  The columns whose counts fall
+        entry (r0, c), so the row's other entries go at once, and a kept V
+        receives those column operations.  The columns whose counts fall
         are re-keyed in the unit queue, or, given `lone` (the pre-pass,
         before the queue is built), pushed on it when their count is 1.
         """
         ws = self.ws
         cross = ws.cross
         row = ws.lines[r0]
+        if self.v is not None:
+            for c, b in row.items():
+                if c != c0:
+                    self.v.axpy(c0, c, -self._quotient(b, row[c0]))
         if lone is None:
             ncols = self.m.cols
             keyed = self._keyed
@@ -800,10 +789,10 @@ def _pivots_first(pivot_lines: list[int], n: int) -> list[int]:
 
 def smith_normal_form(m: SparseIntMatrix) -> SnfResult:
     """Smith normal form with transforms; deterministic for fixed input."""
-    eng = _SnfEngine(m, want_u=True, want_v=True)
-    return SnfResult(tuple(eng.diag),
-                     eng.u.to_matrix(m.rows, m.rows, by_rows=True),
-                     eng.v.to_matrix(m.cols, m.cols, by_rows=False))
+    ech = ColumnEchelon(m)
+    return SnfResult(tuple(ech.diag),
+                     SparseIntMatrix._trusted(m.rows, m.rows, ech._u_rows).transpose(),
+                     SparseIntMatrix._trusted(m.cols, m.cols, ech._v_cols))
 
 
 def invariant_factors(m: SparseIntMatrix, *, skip_rows: Iterable[int] = (),
@@ -855,15 +844,13 @@ class ColumnEchelon:
         return SparseIntMatrix._trusted(self.ncols, self.ncols - self.rank,
                                         self._v_cols[self.rank:])
 
-    def solve(self, b: Vector | dict[int, int]) -> list[int] | None:
+    def solve(self, b: Vector) -> list[int] | None:
         """Solve M*x = b over Z, or return None if b is outside the lattice."""
-        if not isinstance(b, dict):
-            if len(b) != self.nrows:
-                raise ValueError("vector length mismatch")
-            b = {r: v for r, v in enumerate(b) if v}
+        if len(b) != self.nrows:
+            raise ValueError("vector length mismatch")
         x = [0] * self.ncols
         for i, row in enumerate(self._u_rows):
-            y = sum(w * b.get(j, 0) for j, w in row.items())
+            y = sum(w * b[j] for j, w in row.items())
             if i >= self.rank:
                 if y:
                     return None
@@ -1034,16 +1021,18 @@ def present_fg_abelian(ambient_rank: int, relations: SparseIntMatrix,
     orders = [d for _, d in kept] + [mod] * len(frees)
     # the generators are the columns of U^-1 at the coordinate positions, and
     # the coordinates of a vector are its products with the rows of U there
-    k = len(coord_positions)
-    gens = SparseIntMatrix._trusted(ambient_rank, k, [eng.u_inv.lines[i] for i in coord_positions])
-    u_rows = SparseIntMatrix._trusted(ambient_rank, k, [eng.u.lines[i] for i in coord_positions])
+    gens = [[col.get(i, 0) for i in range(ambient_rank)]
+            for col in (eng.u_inv.lines[j] for j in coord_positions)]
+    u_rows = [eng.u.lines[j] for j in coord_positions]
 
     def reducer(vec: Vector) -> tuple[int, ...]:
-        ys = SparseIntMatrix.from_dense([vec], ambient_rank).mul(u_rows).to_dense()[0]
+        if len(vec) != ambient_rank:
+            raise ValueError("vector length mismatch")
+        ys = (sum(w * vec[i] for i, w in row.items()) for row in u_rows)
         return tuple(y % o if o else y for y, o in zip(ys, orders))
 
     return FgAbelianGroup(orders.count(0), [o for o in orders if o],
-                          gens=gens.transpose().to_dense(), reducer=reducer)
+                          gens=gens, reducer=reducer)
 
 
 # ---------------------------------------------------------------------------

@@ -370,7 +370,6 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
     order = g.order
 
     if orbit_reps is None:
-        orbit_reps = []
         singles = [r for r, sz in zip(data1.reps, data1.sizes) if sz == 1]
         multis = [r for r, sz in zip(data1.reps, data1.sizes) if sz > 1]
         orbit_reps = singles[:1] + multis[:3]

@@ -84,6 +84,8 @@ def test_mod_p_on_quotient_slice():
     prof = homology(dq)
     # reduced mod-2 homology of Z/2 in every positive degree
     assert [str(prof.group(n)) for n in range(1, 4)] == ["Z/2", "Z/2", "Z/2"]
+    # one profile per ring: naming the slice's own modulus finds it again
+    assert homology(dq, dq.modulus) is prof
     with pytest.raises(ValueError):
         homology(dq, 3)
 
@@ -256,7 +258,7 @@ def test_generators_of_z8_keep_small_coefficients(monkeypatch):
     class Recording(linalg._SnfEngine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            for ws in (self.u, self.u_inv, self.v, self.v_inv):
+            for ws in (self.u, self.u_inv, self.v):
                 if ws is not None:
                     widest[0] = max([widest[0]] + [abs(v).bit_length()
                                                    for line in ws.lines for v in line.values()])
@@ -403,6 +405,21 @@ def test_psi_that_does_not_invert_phi_is_caught():
             morse.pushes[1].append((c, 1, {c: 1}))
         with pytest.raises(InternalCheckError, match=r"psi\(phi\(g\)\) != g at degree 1"):
             prof.generators(1)
+
+
+def test_psi_that_leaves_the_cycles_of_m_is_caught(monkeypatch):
+    # over Z, d_M at degree 2 of bar(Z/4) is +-4 between single critical
+    # cells, so a critical 2-cell alone is no cycle of M.  (Over Z/p every
+    # pivot is a unit, so d_M = 0 and no chain of M fails the check.)
+    prof = HomologyProfile(bar_complex(make_cyclic(4), 4))
+    prof.generators(2)
+    d_m = prof._morse_complex().complex.d(2)
+    c = next(c for c, col in enumerate(d_m.columns) if col)
+    monkeypatch.setattr(HomologyProfile, "_psi",
+                        lambda self, n, z: [int(i == c) for i in range(d_m.cols)])
+    with pytest.raises(InternalCheckError,
+                       match="psi of the cycle at degree 2 is not a cycle of M"):
+        prof.reduce(2, [0] * prof.slice.sizes[2])
 
 
 def test_a_morse_complex_with_dd_nonzero_is_caught():

@@ -18,7 +18,7 @@ from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
 from invariant_chains.groups import inversion_action, make_cyclic, negation_action
 from invariant_chains.homology import HomologyProfile, exactness_check, homology, invariant_les
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
-                                     SparseIntMatrix, _Lines, _SnfEngine,
+                                     SparseIntMatrix, _SnfEngine,
                                      fixed_points_of_hom_family, image_of_hom,
                                      invariant_factors, invariant_factors_from_orders,
                                      kernel_basis, kernel_of_hom, present_fg_abelian,
@@ -42,21 +42,20 @@ def z4_boundaries():
 
 
 def full_engine(cls, m, mod):
-    return cls(m, mod, want_u=True, want_v=True, want_u_inv=True, want_v_inv=True)
+    return cls(m, mod, want_u=True, want_v=True, want_u_inv=True)
 
 
 def engine_lines(eng):
-    """diag and the lines of U, U^-1, V and V^-1, entry order included."""
+    """diag and the lines of U, U^-1 and V, entry order included."""
     return [eng.diag] + [[list(line.items()) for line in ws.lines]
-                         for ws in (eng.u, eng.u_inv, eng.v, eng.v_inv)]
+                         for ws in (eng.u, eng.u_inv, eng.v)]
 
 
 def transforms(eng, rows, cols):
-    """U, U^-1, V and V^-1 of a Smith form engine run, as matrices."""
-    return (eng.u.to_matrix(rows, rows, by_rows=True),
-            eng.u_inv.to_matrix(rows, rows, by_rows=False),
-            eng.v.to_matrix(cols, cols, by_rows=False),
-            eng.v_inv.to_matrix(cols, cols, by_rows=True))
+    """U, U^-1 and V of a Smith form engine run, as matrices."""
+    return (SparseIntMatrix(rows, rows, eng.u.lines).transpose(),
+            SparseIntMatrix(rows, rows, eng.u_inv.lines),
+            SparseIntMatrix(cols, cols, eng.v.lines))
 
 
 def extended_euclid(a, b):
@@ -85,11 +84,11 @@ def test_gcd_step_is_the_extended_euclid_step():
         # the lines of the step and of its inverse, as the engine keeps them
         step = [{i: v for i, v in enumerate(r) if v} for r in ([x, y], [-b // g, a // g])]
         inverse = [{i: v for i, v in enumerate(c) if v} for c in ([a // g, b // g], [-y, x])]
-        # 1 x 2: column 0 is the pivot column, so a is the pivot; V and
-        # V^-1 are kept by columns and by rows, already in pivot-first order
+        # 1 x 2: column 0 is the pivot column, so a is the pivot; V is kept
+        # by columns, already in pivot-first order
         eng = full_engine(_SnfEngine, dense([[a, b]]), 0)
         assert eng.diag == [g]
-        assert eng.v.lines == step and eng.v_inv.lines == inverse
+        assert eng.v.lines == step
         if abs(a) < abs(b):
             # 2 x 1: the pivot is the entry of least magnitude; put it on
             # either row and read U, U^-1 in pivot-first order
@@ -134,22 +133,20 @@ def test_snf_transforms_reproduce_diagonal():
             # unimodularity, checked with an unrelated determinant implementation
             assert abs(sympy.Matrix(res.u.to_dense()).det()) == 1
             assert abs(sympy.Matrix(res.v.to_dense()).det()) == 1
-        # the engine's inverse transforms
+        # the engine's inverse transform
         eng = full_engine(_SnfEngine, m, 0)
-        u, u_inv, v, v_inv = transforms(eng, rows, cols)
+        u, u_inv, v = transforms(eng, rows, cols)
         assert u.mul(u_inv) == SparseIntMatrix.identity(rows)
-        assert v.mul(v_inv) == SparseIntMatrix.identity(cols)
         kernel = ColumnEchelon(m).kernel_matrix()
         assert kernel.cols == cols - len(res.s) and m.mul(kernel).is_zero()
         # the same engine over Z/p: U*M*V = D mod p, rank = number of pivots
         for p in (2, 3, 5):
             eng = full_engine(_SnfEngine, m, p)
-            u, u_inv, v, v_inv = transforms(eng, rows, cols)
+            u, u_inv, v = transforms(eng, rows, cols)
             rank = len(eng.diag)
             assert u.mul(m).mul(v).to_mod(p) == SparseIntMatrix.diagonal(eng.diag, rows, cols)
             assert all(0 < d < p for d in eng.diag)
             assert u.mul(u_inv).to_mod(p) == SparseIntMatrix.identity(rows)
-            assert v.mul(v_inv).to_mod(p) == SparseIntMatrix.identity(cols)
             kernel = SparseIntMatrix(cols, cols - rank, eng.v.lines[rank:])
             assert kernel.cols == cols - rank and m.mul(kernel).to_mod(p).is_zero()
             if m in small:
@@ -337,7 +334,7 @@ def test_lone_unit_pre_pass_changes_no_pivot():
     ladders += [invariant_complex(negation_action(n), deg).boundaries
                 for n, deg in ((3, 6), (5, 5), (8, 4))]
     ladders.append(coinvariant_complex(negation_action(4), 5).boundaries)
-    taken = total = 0
+    taken = total = taken_with_transforms = 0
     for boundaries in ladders:
         for mod in (0, 2, 3, 5):
             cleared = []
@@ -346,18 +343,22 @@ def test_lone_unit_pre_pass_changes_no_pivot():
                 run = transform_free_run(_SnfEngine, d, mod, skip)
                 assert run == transform_free_run(_NoPrePassEngine, d, mod, skip), (d, mod)
                 pivots, _, cleared = run
-                # U and U^-1, whose lines record the pre-pass's sign changes
-                engines = [cls(d, mod, want_u=True, want_u_inv=True)
-                           for cls in (_SnfEngine, _NoPrePassEngine)]
+                # U and U^-1, whose lines record the pre-pass's sign changes,
+                # and V, whose lines record the column ops its dropped rows
+                # stand for
+                engines = [cls(d, mod, want_u=True, want_u_inv=True, want_v=True)
+                           for cls in (_PrePassCountEngine, _NoPrePassEngine)]
                 assert len({json.dumps([eng._pivots, eng.diag, eng.cleared]
                                        + [[list(line.items()) for line in ws.lines]
-                                          for ws in (eng.u, eng.u_inv)])
+                                          for ws in (eng.u, eng.u_inv, eng.v)])
                             for eng in engines}) == 1, (d, mod)
+                taken_with_transforms += engines[0].pre_pass
                 taken += _PrePassCountEngine(d, mod, skip_rows=skip).pre_pass
                 total += len(pivots)
     # with the rows the boundary before cleared skipped, most pivots are
     # units alone in their columns from the start or once rows are dropped
     assert taken > total // 2
+    assert taken_with_transforms > 0
 
 
 class _SortedScanCheckEngine(_SnfEngine):
@@ -490,6 +491,14 @@ def test_present_generator_data_reduces_to_units():
             for r, v in col.items():
                 vec[r] = v
             assert all(x == 0 for x in g.reduce(vec))
+
+
+def test_present_reducer_rejects_a_vector_of_the_wrong_length():
+    g = present_fg_abelian(2, dense([[2], [0]]))
+    assert g.reduce([3, 5]) == (1, 5)
+    for vec in ([1], [1, 0, 0]):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            g.reduce(vec)
 
 
 def test_invariant_factors_from_orders():
@@ -803,7 +812,7 @@ def test_cleared_stops_at_the_first_nonunit_pivot():
     for want in ("want_u", "want_u_inv"):
         with pytest.raises(ValueError, match="without U and U"):
             _SnfEngine(d2, skip_rows=[0], **{want: True})
-    for want in ("want_u", "want_v", "want_u_inv", "want_v_inv"):
+    for want in ("want_u", "want_v", "want_u_inv"):
         with pytest.raises(ValueError, match="without U and U"):
             _SnfEngine(d2, pairs=True, **{want: True})
 
@@ -832,13 +841,6 @@ def test_profiles_equal_uncleared_elimination_on_the_ladder():
         for mod in (0, 2, 3, 5):
             data = homology(slice_, mod)._boundary_data[1:]
             assert list(data) == uncleared_eliminations(slice_.boundaries, mod), (slice_, mod)
-
-
-def test_column_echelon_solve_sparse_interface():
-    m = dense([[2, 0], [0, 3]])
-    ech = ColumnEchelon(m)
-    assert ech.solve({0: 4, 1: 3}) == [2, 1]
-    assert ech.solve({0: 1}) is None
 
 
 def dense_product(x, y):
@@ -873,19 +875,6 @@ def test_mul_matches_dense_product():
         assert p == SparseIntMatrix(p.rows, p.cols, p.columns)
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 3).mul(SparseIntMatrix(2, 3))
-
-
-def test_lines_to_matrix_round_trip():
-    rng = random.Random(11)
-    for _ in range(20):
-        m = random_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), density=0.4)
-        by_rows, by_cols = _Lines(m.rows), _Lines(m.cols)
-        for c, col in enumerate(m.columns):
-            for r, v in col.items():
-                by_rows.lines[r][c] = v
-                by_cols.lines[c][r] = v
-        assert by_rows.to_matrix(m.rows, m.cols, by_rows=True) == m
-        assert by_cols.to_matrix(m.rows, m.cols, by_rows=False) == m
 
 
 def test_matrix_basics():
