@@ -20,7 +20,12 @@ of every tuple of the column (one tuple, or the members of one orbit) into
 one dict, with the signs of the faces fixed once per degree.
 
 Every slice is checked for d.d = 0 by `dd_zero` as it is built, and every
-chain map for commutation with d by `commutes`.  The norm
+chain map for commutation with d by `commutes`.  Both run on one kernel,
+`_vanishes`, which decides exactly, column by column, whether a signed sum
+of products A . B is 0 over the slice's ring without forming any product:
+a column whose row lists (the rows of A's entries, repeated by size) cancel
+as multisets is 0 in every ring, and any other column is summed exactly and
+reduced.  Every call decides every column afresh.  The norm
 sequence `invariant_ses` is made of the built complexes and maps themselves:
 N_0 is the identity of Z and D_0 = 0, so it is exact in degree 0 too, and in
 degrees >= 1 it is the reduced sequence.
@@ -170,25 +175,102 @@ class ComplexSlice:
         return f"ComplexSlice({self.name}, sizes={list(self.sizes)}, modulus={self.modulus})"
 
 
-def dd_zero(slice_: ComplexSlice) -> bool:
-    """d_{n-1} . d_n = 0 for every n, over the slice's ring."""
-    for n in range(2, slice_.max_degree + 1):
-        prod = slice_.d(n - 1).mul(slice_.d(n))
-        if slice_.modulus:
-            prod = prod.to_mod(slice_.modulus)
-        if not prod.is_zero():
+# entries of at most this size take the sorted-row-list path of `_vanishes`
+_REPEAT_BOUND = 4
+
+
+def _row_lists(a: SparseIntMatrix, sign: int) -> list[tuple[list[int], list[int]] | None]:
+    """Per column of sign * a: (up, down), the rows of its positive and of its
+    negative entries, each row repeated |entry| times; None for a column with
+    an entry above the bound."""
+    out: list[tuple[list[int], list[int]] | None] = []
+    for col in a.columns:
+        up: list[int] | None = []
+        down: list[int] = []
+        for r, w in col.items():
+            w *= sign
+            if w == 1:
+                up.append(r)
+            elif w == -1:
+                down.append(r)
+            elif 0 < w <= _REPEAT_BOUND:
+                up += [r] * w
+            elif 0 < -w <= _REPEAT_BOUND:
+                down += [r] * -w
+            else:
+                up = None
+                break
+        out.append(None if up is None else (up, down))
+    return out
+
+
+def _vanishes(terms: Sequence[tuple[int, SparseIntMatrix, SparseIntMatrix]],
+              modulus: int) -> bool:
+    """Whether the sum of sign * A . B over the terms (sign, A, B) is 0 over Z
+    (modulus 0) or Z/modulus, decided column by column; no product is formed.
+
+    Column c of the sum gathers, for each entry v = B[b, c], the row lists of
+    column b of sign * A, swapped when v < 0 and repeated |v| times, into one
+    `up` and one `down` list.  If they sort equal, every row's signed count is
+    0, so the column is 0 in any ring.  A column that meets an entry above the
+    bound, or whose lists differ, is summed exactly and reduced mod the ring.
+    """
+    rows, cols = terms[0][1].rows, terms[0][2].cols
+    prepared = []
+    for sign, a, b in terms:
+        if a.cols != b.rows or a.rows != rows or b.cols != cols:
+            raise ValueError("shape mismatch in matrix product")
+        prepared.append((sign, _row_lists(a, sign), a.columns, b.columns))
+    for c in range(cols):
+        up: list[int] = []
+        down: list[int] = []
+        for _, lists, _, right in prepared:
+            for b, v in right[c].items():
+                pair = lists[b]
+                if pair is None:
+                    break
+                if v == 1:
+                    u, d = pair
+                elif v == -1:
+                    d, u = pair
+                elif 0 < v <= _REPEAT_BOUND:
+                    u, d = pair[0] * v, pair[1] * v
+                elif 0 < -v <= _REPEAT_BOUND:
+                    u, d = pair[1] * -v, pair[0] * -v
+                else:
+                    break
+                up += u
+                down += d
+            else:
+                continue
+            break
+        else:
+            up.sort()
+            down.sort()
+            if up == down:
+                continue
+        acc: dict[int, int] = {}
+        get = acc.get
+        for sign, _, left, right in prepared:
+            for b, v in right[c].items():
+                v *= sign
+                for r, w in left[b].items():
+                    acc[r] = get(r, 0) + w * v
+        if any(x % modulus if modulus else x for x in acc.values()):
             return False
     return True
 
 
+def dd_zero(slice_: ComplexSlice) -> bool:
+    """d_{n-1} . d_n = 0 for every n, over the slice's ring."""
+    return all(_vanishes([(1, slice_.d(n - 1), slice_.d(n))], slice_.modulus)
+               for n in range(2, slice_.max_degree + 1))
+
+
 def commutes(f: ChainMap, n: int) -> bool:
     """d_n . f_n = f_{n-1} . d_n, over the target's ring."""
-    lhs = f.target.d(n).mul(f.mats[n])
-    rhs = f.mats[n - 1].mul(f.source.d(n))
-    modulus = f.target.modulus
-    if modulus:
-        lhs, rhs = lhs.to_mod(modulus), rhs.to_mod(modulus)
-    return lhs == rhs
+    return _vanishes([(1, f.target.d(n), f.mats[n]), (-1, f.mats[n - 1], f.source.d(n))],
+                     f.target.modulus)
 
 
 def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0) -> ComplexSlice:

@@ -5,6 +5,7 @@ import itertools
 import math
 import pkgutil
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,157 @@ def test_chain_maps_are_checked_for_commutation():
                                         for col in mats[2].columns])
     with pytest.raises(InternalCheckError, match="broken does not commute with d at degree 2"):
         make_chain_map("broken", norm.source, norm.target, mats)
+
+
+def _materialized_vanishes(terms, modulus):
+    """The reference for `_vanishes`: form every product, add, reduce, test."""
+    total = SparseIntMatrix.zero(terms[0][1].rows, terms[0][2].cols)
+    for sign, a, b in terms:
+        prod = a.mul(b)
+        total = SparseIntMatrix(total.rows, total.cols, [
+            {r: col.get(r, 0) + sign * pcol.get(r, 0) for r in col.keys() | pcol.keys()}
+            for col, pcol in zip(total.columns, prod.columns)])
+    if modulus:
+        total = total.to_mod(modulus)
+    return total.is_zero()
+
+
+@st.composite
+def product_sums(draw):
+    """(terms, modulus): a sum of signed products of small random matrices.
+
+    The sums are one product, A.B - A.B, A.B - (A.E)(E^-1.B) for a
+    transvection E, or a random pair; the entries are mostly within the
+    sorted-list bound, sometimes far beyond it.
+    """
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+    big = draw(st.booleans())
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 12, 10 ** 12)) if big \
+        else st.sampled_from([-2, -1, -1, 0, 0, 0, 1, 1, 2])
+
+    def matrix(r, c):
+        return SparseIntMatrix.from_dense([[draw(entry) for _ in range(c)] for _ in range(r)], c)
+
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    kind = draw(st.sampled_from(["one", "same", "transvection", "pair"]))
+    if kind == "one":
+        terms = [(1, a, b)]
+    elif kind == "same":
+        terms = [(1, a, b), (-1, a, b)]
+    elif kind == "transvection" and inner >= 2:
+        i, j = draw(st.permutations(range(inner)))[:2]
+        k = draw(st.sampled_from([-2, -1, 1, 3]))
+        e = SparseIntMatrix.from_entries(inner, inner, {**{(x, x): 1 for x in range(inner)},
+                                                        (i, j): k})
+        e_inv = SparseIntMatrix.from_entries(inner, inner, {**{(x, x): 1 for x in range(inner)},
+                                                            (i, j): -k})
+        terms = [(1, a, b), (-1, a.mul(e), e_inv.mul(b))]
+    else:
+        terms = [(1, a, b), (draw(st.sampled_from([1, -1])), matrix(rows, inner + 1),
+                             matrix(inner + 1, cols))]
+    return terms, draw(st.sampled_from([0, 2, 3, 5]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(product_sums())
+def test_vanishes_matches_materialized_products(case):
+    terms, modulus = case
+    assert chains._vanishes(terms, modulus) == _materialized_vanishes(terms, modulus)
+
+
+def test_vanishes_cancels_across_coefficients():
+    # +2 in one row against two -1 terms in that row: the sorted row lists
+    # read [0, 0] on both sides, once with the 2 in A and once with it in B
+    ones = SparseIntMatrix.from_dense([[1], [1], [1]])
+    cases = [
+        ([(1, SparseIntMatrix.from_dense([[2, -1, -1]]), ones)], True),
+        ([(1, SparseIntMatrix.from_dense([[1, -1, -1]]),
+           SparseIntMatrix.from_dense([[2], [1], [1]]))], True),
+        ([(1, SparseIntMatrix.from_dense([[2, -1, 0]]), ones)], False),
+        # a repeat of 2 is not a repeat of 1, in A or in B, on either side
+        ([(1, SparseIntMatrix.from_dense([[1, -1, 0]]),
+           SparseIntMatrix.from_dense([[2], [1], [0]]))], False),
+        ([(1, SparseIntMatrix.from_dense([[1, -1, 0]]),
+           SparseIntMatrix.from_dense([[-1], [-2], [0]]))], False),
+        ([(-1, SparseIntMatrix.from_dense([[-2, 1, 0]]), ones)], False),
+        # an entry beyond the sorted-list bound is summed exactly
+        ([(1, SparseIntMatrix.from_dense([[5, -2, -3]]), ones)], True),
+        ([(1, SparseIntMatrix.from_dense([[5, -2, -2]]), ones)], False),
+    ]
+    for terms, zero in cases:
+        assert chains._vanishes(terms, 0) is zero
+        assert _materialized_vanishes(terms, 0) is zero
+
+
+def _flip(m, r, c):
+    """m with the sign of entry (r, c) flipped."""
+    columns = list(m.columns)
+    columns[c] = {**columns[c], r: -columns[c][r]}
+    return SparseIntMatrix._trusted(m.rows, m.cols, columns)
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: invariant_complex(negation_action(4), 6), 2),
+    (lambda: bar_complex(make_cyclic(5), 5), 1),
+])
+def test_one_flipped_sign_in_d4_is_refused(build, size):
+    clear_caches()
+    slc = build()
+    d3, d4 = slc.d(3), slc.d(4)
+    r, c = next((r, c) for c, col in enumerate(d4.columns) for r, v in col.items()
+                if abs(v) == size and d3.columns[r])
+    boundaries = list(slc.boundaries)
+    boundaries[3] = _flip(d4, r, c)
+    assert not dd_zero(replace(slc, boundaries=tuple(boundaries)))
+    with pytest.raises(InternalCheckError, match=r"d \. d != 0 in broken"):
+        _finish_slice("broken", "test", slc.max_degree, slc.sizes, boundaries)
+    clear_caches()
+
+
+def test_one_changed_entry_of_an_inclusion_is_refused():
+    clear_caches()
+    incl = invariant_inclusion_chain_map(negation_action(4), 4)
+    d3 = incl.target.d(3)
+    f3 = incl.mat(3)
+    r, c = next((r, c) for c, col in enumerate(f3.columns) for r in col
+                if set(col.values()) <= {1, -1} and d3.columns[r])
+    mats = list(incl.mats)
+    mats[3] = _flip(f3, r, c)
+    with pytest.raises(InternalCheckError, match="broken does not commute with d at degree 3"):
+        make_chain_map("broken", incl.source, incl.target, mats)
+    clear_caches()
+
+
+def test_checks_form_no_product(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a check formed, reduced or compared a whole matrix")
+
+    for name in ("mul", "__matmul__", "to_mod", "is_zero", "__eq__"):
+        monkeypatch.setattr(SparseIntMatrix, name, refuse)
+    clear_caches()
+    slices = []
+    for make, spec, top in (("invariant", 3, 6), ("invariant", 5, 5), ("invariant", 6, 5),
+                            ("invariant", 4, 6), ("invariant", 8, 4), ("coinvariant", 4, 5),
+                            ("bar", 5, 5)):
+        if make == "bar":
+            slices.append(bar_complex(make_cyclic(spec), top))
+        else:
+            build = invariant_complex if make == "invariant" else coinvariant_complex
+            slices.append(build(negation_action(spec), top))
+    act = negation_action(4)
+    maps = [norm_chain_map(act, 5), quotient_chain_map(act, 5),
+            fixed_inclusion_chain_map(act, 5), invariant_inclusion_chain_map(act, 5)]
+    slices += [s for f in maps for s in (f.source, f.target)]
+    assert all(dd_zero(s) for s in slices)
+    assert all(commutes(f, n) for f in maps for n in range(1, f.max_degree + 1))
+    clear_caches()
+
+
+def test_dd_zero_refuses_mismatched_shapes():
+    d1 = SparseIntMatrix.from_dense([[1, 1]])
+    d2 = SparseIntMatrix.from_dense([[1], [1], [1]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        dd_zero(ComplexSlice("bad", "test", 2, (1, 2, 3), (d1, d2)))
 
 
 def test_invariant_ses_requires_prime_q():
