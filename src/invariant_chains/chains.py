@@ -19,8 +19,10 @@ Each boundary column is assembled in one loop: `_face_sum` adds every face
 of every tuple of the column (one tuple, or the members of one orbit) into
 one dict, with the signs of the faces fixed once per degree.
 
-Every slice is checked for d.d = 0 by `dd_zero` as it is built, and every
-chain map for commutation with d by `commutes`.  Both run on one kernel,
+Every `ComplexSlice` checks d.d = 0 by `dd_zero` when it is made, and every
+`ChainMap` its commutation with d by `commutes`, whoever makes them: a
+builder here, the Morse pass of `homology` or a caller by hand, so no slice
+or chain map exists unchecked.  Both checks run on one kernel,
 `_vanishes`, which decides exactly, column by column, whether a signed sum
 of products A . B is 0 over the slice's ring without forming any product:
 a column whose row lists (the rows of A's entries, repeated by size) cancel
@@ -45,7 +47,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, EquivarianceError, GroupConstructionError, \
@@ -152,8 +154,9 @@ class ComplexSlice:
 
     modulus == 0 means a complex of free Z-modules; modulus == p means the
     boundaries are understood over Z/p (free Z/p-modules).  Slices compare
-    and hash by identity, so a slice keys its own homology profiles.
-    `dd_checked` marks a slice whose d.d = 0 was checked as it was built.
+    and hash by identity, so a slice keys its own homology profiles.  A
+    slice checks itself when it is made: the boundaries' shapes against the
+    sizes, then d.d = 0 over its ring.
     """
 
     name: str
@@ -162,7 +165,19 @@ class ComplexSlice:
     sizes: tuple[int, ...]
     boundaries: tuple[SparseIntMatrix, ...]
     modulus: int = 0
-    dd_checked: bool = False
+
+    def __post_init__(self):
+        sizes, boundaries = tuple(self.sizes), tuple(self.boundaries)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "boundaries", boundaries)
+        if len(sizes) != self.max_degree + 1 or len(boundaries) != self.max_degree:
+            raise ValueError("slice shape mismatch")
+        for n, d in enumerate(boundaries, 1):
+            if (d.rows, d.cols) != (sizes[n - 1], sizes[n]):
+                raise ValueError(f"d_{n} has shape {d.rows}x{d.cols}, expected "
+                                 f"{sizes[n - 1]}x{sizes[n]}")
+        if not dd_zero(self):
+            raise InternalCheckError(f"d . d != 0 in {self.name}")
 
     def d(self, n: int) -> SparseIntMatrix:
         if n == 0:
@@ -273,30 +288,32 @@ def commutes(f: ChainMap, n: int) -> bool:
                      f.target.modulus)
 
 
-def _finish_slice(name, kind, max_degree, sizes, boundaries, modulus=0) -> ComplexSlice:
-    sizes = tuple(sizes)
-    boundaries = tuple(boundaries)
-    if len(sizes) != max_degree + 1 or len(boundaries) != max_degree:
-        raise ValueError("slice shape mismatch")
-    for n in range(1, max_degree + 1):
-        d = boundaries[n - 1]
-        if (d.rows, d.cols) != (sizes[n - 1], sizes[n]):
-            raise ValueError(f"d_{n} has shape {d.rows}x{d.cols}, expected "
-                             f"{sizes[n - 1]}x{sizes[n]}")
-    slice_ = ComplexSlice(name, kind, max_degree, sizes, boundaries, modulus)
-    if not dd_zero(slice_):
-        raise InternalCheckError(f"d . d != 0 in {name}")
-    return replace(slice_, dd_checked=True)
-
-
 @dataclass(frozen=True)
 class ChainMap:
-    """Degreewise matrices commuting exactly with the boundary maps."""
+    """Degreewise matrices commuting exactly with the boundary maps.
+
+    A chain map checks itself when it is made: its top degree against the
+    slices', its ring, the matrices' shapes, then commutation with d.
+    """
 
     name: str
     source: ComplexSlice
     target: ComplexSlice
     mats: tuple[SparseIntMatrix, ...]  # index n = degree n, degrees 0..max
+
+    def __post_init__(self):
+        object.__setattr__(self, "mats", tuple(self.mats))
+        source, target = self.source, self.target
+        if self.max_degree > min(source.max_degree, target.max_degree):
+            raise ValueError("chain map exceeds slice degrees")
+        if source.modulus and source.modulus != target.modulus:
+            raise ValueError("chain map cannot leave a mod-p complex")
+        for n, m in enumerate(self.mats):
+            if (m.rows, m.cols) != (target.sizes[n], source.sizes[n]):
+                raise ValueError(f"degree-{n} matrix has wrong shape")
+        for n in range(1, self.max_degree + 1):
+            if not commutes(self, n):
+                raise InternalCheckError(f"{self.name} does not commute with d at degree {n}")
 
     @property
     def max_degree(self) -> int:
@@ -304,23 +321,6 @@ class ChainMap:
 
     def mat(self, n: int) -> SparseIntMatrix:
         return self.mats[n]
-
-
-def make_chain_map(name: str, source: ComplexSlice, target: ComplexSlice,
-                   mats: Sequence[SparseIntMatrix]) -> ChainMap:
-    top = len(mats) - 1
-    if top > min(source.max_degree, target.max_degree):
-        raise ValueError("chain map exceeds slice degrees")
-    if source.modulus and source.modulus != target.modulus:
-        raise ValueError("chain map cannot leave a mod-p complex")
-    for n, m in enumerate(mats):
-        if (m.rows, m.cols) != (target.sizes[n], source.sizes[n]):
-            raise ValueError(f"degree-{n} matrix has wrong shape")
-    f = ChainMap(name, source, target, tuple(mats))
-    for n in range(1, top + 1):
-        if not commutes(f, n):
-            raise InternalCheckError(f"{name} does not commute with d at degree {n}")
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,8 @@ def tuple_orbits(action: GroupAction, n: int) -> OrbitData:
         pos = len(reps)
         for mem in members:
             orbit_of[mem] = pos
-        assert min(members) == idx, "representative must be the smallest member"
+        if min(members) != idx:
+            raise InternalCheckError("representative must be the smallest member")
         reps.append(idx)
         sizes.append(len(members))
     qn = action.q.order
@@ -430,7 +431,8 @@ def burnside_orbit_count(action: GroupAction, n: int) -> int:
     fixed_counts = [sum(1 for x in action.g.elements() if p[x] == x) for p in action.perm]
     total = sum(f ** n for f in fixed_counts)
     q = action.q.order
-    assert total % q == 0
+    if total % q:
+        raise InternalCheckError("Burnside sum is not divisible by |Q|")
     return total // q
 
 
@@ -449,7 +451,7 @@ def bar_complex(g: FiniteGroup, max_degree: int,
         faces = _face_tables(g, n)
         columns = [_face_sum(faces, (col,)) for col in range(sizes[n])]
         boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
-    return _finish_slice(f"bar({g.name})", "bar", max_degree, sizes, boundaries)
+    return ComplexSlice(f"bar({g.name})", "bar", max_degree, sizes, boundaries)
 
 
 def _expand_orbit_boundary(action: GroupAction, n: int, rep: int) -> dict[int, int]:
@@ -491,7 +493,7 @@ def invariant_complex(action: GroupAction, max_degree: int,
                                  "invariant complex")
                    for rep in data[n].reps]
         boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
-    return _finish_slice(f"invariant({action.q.name} on {action.g.name})", "invariant",
+    return ComplexSlice(f"invariant({action.q.name} on {action.g.name})", "invariant",
                          max_degree, sizes, boundaries)
 
 
@@ -507,7 +509,7 @@ def coinvariant_complex(action: GroupAction, max_degree: int,
         orbit_of = data[n - 1].orbit_of
         columns = [_face_sum(faces, (rep,), orbit_of) for rep in data[n].reps]
         boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
-    return _finish_slice(f"coinvariant({action.q.name} on {action.g.name})", "coinvariant",
+    return ComplexSlice(f"coinvariant({action.q.name} on {action.g.name})", "coinvariant",
                          max_degree, sizes, boundaries)
 
 
@@ -525,9 +527,10 @@ def norm_chain_map(action: GroupAction, max_degree: int,
     for n in range(1, max_degree + 1):
         data = tuple_orbits(action, n)
         diag = SparseIntMatrix.diagonal(data.stab_orders)
-        assert all(s > 0 for s in data.stab_orders), "norm must be injective"
+        if not all(s > 0 for s in data.stab_orders):
+            raise InternalCheckError("norm must be injective")
         mats.append(diag)
-    return make_chain_map("norm", src, dst, mats)
+    return ChainMap("norm", src, dst, mats)
 
 
 def _cokernel_orbits(action: GroupAction, max_degree: int) -> tuple[int, list[list[int]]]:
@@ -569,7 +572,7 @@ def quotient_complex_D(action: GroupAction, max_degree: int,
         columns = [{pos_of[r]: v % p for r, v in d.columns[j].items() if r in pos_of}
                    for j in keep[n]]
         boundaries.append(SparseIntMatrix(sizes[n - 1], sizes[n], columns))
-    return _finish_slice(f"norm-cokernel({action.q.name} on {action.g.name})", "quotient",
+    return ComplexSlice(f"norm-cokernel({action.q.name} on {action.g.name})", "quotient",
                          max_degree, sizes, boundaries, modulus=p)
 
 
@@ -585,7 +588,7 @@ def quotient_chain_map(action: GroupAction, max_degree: int,
         for i, j in enumerate(keep[n]):
             columns[j] = {i: 1}
         mats.append(SparseIntMatrix(dq.sizes[n], inv.sizes[n], columns))
-    return make_chain_map("norm-quotient", inv, dq, mats)
+    return ChainMap("norm-quotient", inv, dq, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +607,11 @@ def fixed_inclusion_chain_map(action: GroupAction, max_degree: int,
         columns = []
         for idx in _tuple_maps([sub.members], action.g.order, n)[0]:
             pos = data.orbit_of[idx]
-            assert data.sizes[pos] == 1, "fixed tuple must be a singleton orbit"
+            if data.sizes[pos] != 1:
+                raise InternalCheckError("fixed tuple must be a singleton orbit")
             columns.append({pos: 1})
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
-    return make_chain_map("fixed-inclusion", src, dst, mats)
+    return ChainMap("fixed-inclusion", src, dst, mats)
 
 
 def invariant_inclusion_chain_map(action: GroupAction, max_degree: int,
@@ -621,7 +625,7 @@ def invariant_inclusion_chain_map(action: GroupAction, max_degree: int,
         columns = [dict.fromkeys(sorted({m[rep] for m in moves}), 1)
                    for rep in tuple_orbits(action, n).reps]
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
-    return make_chain_map("invariant-inclusion", src, dst, mats)
+    return ChainMap("invariant-inclusion", src, dst, mats)
 
 
 def subgroup_invariant_inclusion(action: GroupAction, k: Subgroup, max_degree: int,
@@ -638,10 +642,11 @@ def subgroup_invariant_inclusion(action: GroupAction, k: Subgroup, max_degree: i
         columns = []
         for rep, size in zip(sub_data.reps, sub_data.sizes):
             pos = data.orbit_of[embedded[rep]]
-            assert data.sizes[pos] == size, "embedded orbit must match the subgroup orbit"
+            if data.sizes[pos] != size:
+                raise InternalCheckError("embedded orbit must match the subgroup orbit")
             columns.append({pos: 1})
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
-    return make_chain_map("subgroup-inclusion", src, dst, mats)
+    return ChainMap("subgroup-inclusion", src, dst, mats)
 
 
 def subgroup_bar_inclusion(g: FiniteGroup, k: Subgroup, max_degree: int,
@@ -653,7 +658,7 @@ def subgroup_bar_inclusion(g: FiniteGroup, k: Subgroup, max_degree: int,
     for n in range(max_degree + 1):
         columns = [{idx: 1} for idx in _tuple_maps([k.members], g.order, n)[0]]
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
-    return make_chain_map("bar-inclusion", src, dst, mats)
+    return ChainMap("bar-inclusion", src, dst, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +719,7 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
             tables = _transfer_tables(step, k.order, n)
             columns = [_accumulate({}, ((t[i], 1) for t in tables)) for i in range(src.sizes[n])]
             mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
-        return make_chain_map("transfer", src, dst, mats)
+        return ChainMap("transfer", src, dst, mats)
 
     if action.g != g:
         raise ValueError("action must act on the transfer's source group")
@@ -738,7 +743,7 @@ def transfer_chain_map(g: FiniteGroup, k: Subgroup, e: Sequence[int], max_degree
                     f"transversal {list(e)} does not map invariant chains to "
                     f"invariant chains at degree {n}") from exc
         mats.append(SparseIntMatrix(dst.sizes[n], src.sizes[n], columns))
-    return make_chain_map("equivariant-transfer", src, dst, mats)
+    return ChainMap("equivariant-transfer", src, dst, mats)
 
 
 def find_equivariant_coset_reps(g: FiniteGroup, k: Subgroup, action: GroupAction,
@@ -769,8 +774,9 @@ def find_equivariant_coset_reps(g: FiniteGroup, k: Subgroup, action: GroupAction
         e = sorted(assigned.values())
         rep_of = _rep_table(g, k, e)
         for p in action.perm:
-            assert all(p[rep_of[x]] == rep_of[p[x]] for x in g.elements()), \
-                "pointwise-compatible transversal failed its defining condition"
+            if not all(p[rep_of[x]] == rep_of[p[x]] for x in g.elements()):
+                raise InternalCheckError(
+                    "pointwise-compatible transversal failed its defining condition")
         return e
 
     # exhaustive fallback, validated against the invariant complexes
@@ -832,4 +838,4 @@ def s1_counterexample_complex() -> ComplexSlice:
     """Invariants of the circle-model resolution: 0 -> 0 -> Z (h_1 = 0)."""
     sizes = (1, 0, 0)
     boundaries = (SparseIntMatrix.zero(1, 0), SparseIntMatrix.zero(0, 0))
-    return _finish_slice("circle-model-invariants", "custom", 2, sizes, boundaries)
+    return ComplexSlice("circle-model-invariants", "custom", 2, sizes, boundaries)

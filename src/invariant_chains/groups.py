@@ -5,6 +5,11 @@ multiplication table is stored in full: the groups handled here are tiny,
 the chain complexes built on them are not.  `make_cyclic` and
 `make_product` check the table's estimated size against the memory budget
 before they build it.
+
+`FiniteGroup`, `GroupAction` and `Subgroup` check themselves when they are
+made, whoever makes them: a table that is not a group, a map that is not an
+automorphism or a subset that is not a subgroup raises
+`GroupConstructionError` at once.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -30,12 +35,45 @@ _TABLE_BYTES_PER_ENTRY = 44
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its full multiplication table (identity = 0)."""
+    """A finite group given by its full multiplication table (identity = 0).
+
+    A group checks its table when it is made: the shape, the range of the
+    entries, the identity, two-sided inverses (kept as `inv_table`) and
+    associativity, on every triple up to order 64 and on seeded samples above.
+    """
 
     order: int
     mul_table: tuple[tuple[int, ...], ...]
-    inv_table: tuple[int, ...]
     name: str
+    inv_table: tuple[int, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        order, mul = self.order, tuple(map(tuple, self.mul_table))
+        object.__setattr__(self, "mul_table", mul)
+        if order < 1:
+            raise GroupConstructionError("group order must be >= 1")
+        if len(mul) != order or any(len(row) != order for row in mul):
+            raise GroupConstructionError("multiplication table has wrong shape")
+        for row in mul:
+            for v in row:
+                if not 0 <= v < order:
+                    raise GroupConstructionError("table entry out of range")
+        for g in range(order):
+            if mul[0][g] != g or mul[g][0] != g:
+                raise GroupConstructionError("index 0 is not a two-sided identity")
+        inv = [-1] * order
+        for g in range(order):
+            for h in range(order):
+                if mul[g][h] == 0:
+                    inv[g] = h
+                    break
+            if inv[g] < 0 or mul[inv[g]][g] != 0:
+                raise GroupConstructionError(f"element {g} has no two-sided inverse")
+        for a, b, c in _tuples(order, 3, order <= _ASSOC_EXHAUSTIVE_LIMIT, _ASSOC_SAMPLES,
+                               0xA55):
+            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+                raise GroupConstructionError(f"associativity fails at {(a, b, c)}")
+        object.__setattr__(self, "inv_table", tuple(inv))
 
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
@@ -68,32 +106,6 @@ def _tuples(n: int, k: int, exhaustive: bool, samples: int, seed: int) -> Iterat
     return zip(*[draws] * k)
 
 
-def _validate_group(order: int, mul: Sequence[Sequence[int]], name: str) -> FiniteGroup:
-    if order < 1:
-        raise GroupConstructionError("group order must be >= 1")
-    if len(mul) != order or any(len(row) != order for row in mul):
-        raise GroupConstructionError("multiplication table has wrong shape")
-    for row in mul:
-        for v in row:
-            if not 0 <= v < order:
-                raise GroupConstructionError("table entry out of range")
-    for g in range(order):
-        if mul[0][g] != g or mul[g][0] != g:
-            raise GroupConstructionError("index 0 is not a two-sided identity")
-    inv = [-1] * order
-    for g in range(order):
-        for h in range(order):
-            if mul[g][h] == 0:
-                inv[g] = h
-                break
-        if inv[g] < 0 or mul[inv[g]][g] != 0:
-            raise GroupConstructionError(f"element {g} has no two-sided inverse")
-    for a, b, c in _tuples(order, 3, order <= _ASSOC_EXHAUSTIVE_LIMIT, _ASSOC_SAMPLES, 0xA55):
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            raise GroupConstructionError(f"associativity fails at {(a, b, c)}")
-    return FiniteGroup(order, tuple(tuple(row) for row in mul), tuple(inv), name)
-
-
 def _approx_bytes(n: int) -> str:
     """"~n bytes", or a power of two below n when n has too many digits to print."""
     return f"~{n} bytes" if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1} bytes"
@@ -114,7 +126,7 @@ def make_cyclic(n: int, memory_budget: int | None = None) -> FiniteGroup:
         raise GroupConstructionError("cyclic group needs n >= 1")
     _check_table_budget(n, memory_budget)
     mul = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return _validate_group(n, mul, f"cyclic:{n}")
+    return FiniteGroup(n, mul, f"cyclic:{n}")
 
 
 def make_product(a: FiniteGroup, b: FiniteGroup,
@@ -132,16 +144,36 @@ def make_product(a: FiniteGroup, b: FiniteGroup,
                 ax = a.mul(x1, x2)
                 for y2 in b.elements():
                     row[x2 * nb + y2] = ax * nb + b.mul(y1, y2)
-    return _validate_group(order, mul, f"product:{a.name},{b.name}")
+    return FiniteGroup(order, mul, f"product:{a.name},{b.name}")
 
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A finite group q acting on g by automorphisms, one permutation per q-element."""
+    """A finite group q acting on g by automorphisms, one permutation per q-element.
+
+    An action checks itself when it is made: one automorphism of g per
+    element of q, the identity acting as the identity, and the permutations
+    composing as q multiplies.
+    """
 
     q: FiniteGroup
     g: FiniteGroup
     perm: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        q, g, perm = self.q, self.g, tuple(map(tuple, self.perm))
+        object.__setattr__(self, "perm", perm)
+        if len(perm) != q.order:
+            raise GroupConstructionError("need one permutation per element of Q")
+        for p in perm:
+            _check_automorphism(g, p)
+        if perm[0] != tuple(g.elements()):
+            raise GroupConstructionError("identity of Q must act as the identity")
+        for a, b in _tuples(q.order, 2, g.order * q.order <= 4096, 2048, 0xACC):
+            pab = perm[q.mul(a, b)]
+            pa, pb = perm[a], perm[b]
+            if any(pab[x] != pa[pb[x]] for x in g.elements()):
+                raise GroupConstructionError("permutations do not form a Q-homomorphism")
 
     def apply(self, qi: int, gi: int) -> int:
         return self.perm[qi][gi]
@@ -164,23 +196,6 @@ def _check_automorphism(g: FiniteGroup, p: Sequence[int]) -> None:
         if p[g.mul(a, b)] != g.mul(p[a], p[b]):
             raise GroupConstructionError(
                 f"map is not an automorphism: image of {a}*{b} mismatches")
-
-
-def _validate_action(q: FiniteGroup, g: FiniteGroup,
-                     perm: Sequence[Sequence[int]]) -> GroupAction:
-    if len(perm) != q.order:
-        raise GroupConstructionError("need one permutation per element of Q")
-    for p in perm:
-        _check_automorphism(g, p)
-    ident = tuple(g.elements())
-    if tuple(perm[0]) != ident:
-        raise GroupConstructionError("identity of Q must act as the identity")
-    for a, b in _tuples(q.order, 2, g.order * q.order <= 4096, 2048, 0xACC):
-        pab = perm[q.mul(a, b)]
-        pa, pb = perm[a], perm[b]
-        if any(pab[x] != pa[pb[x]] for x in g.elements()):
-            raise GroupConstructionError("permutations do not form a Q-homomorphism")
-    return GroupAction(q, g, tuple(tuple(p) for p in perm))
 
 
 def make_action(q: FiniteGroup, g: FiniteGroup,
@@ -213,7 +228,7 @@ def make_action(q: FiniteGroup, g: FiniteGroup,
         frontier = new_frontier
     if len(known) != q.order:
         raise GroupConstructionError("given elements do not generate Q")
-    return _validate_action(q, g, [known[i] for i in range(q.order)])
+    return GroupAction(q, g, [known[i] for i in range(q.order)])
 
 
 def inversion_action(g: FiniteGroup) -> GroupAction:
@@ -234,7 +249,7 @@ def trivial_action(g: FiniteGroup, q: FiniteGroup | None = None) -> GroupAction:
     if q is None:
         q = make_cyclic(2)
     ident = tuple(g.elements())
-    return _validate_action(q, g, [ident] * q.order)
+    return GroupAction(q, g, [ident] * q.order)
 
 
 def action_from_permutations(g: FiniteGroup, perms: Sequence[Sequence[int]]) -> GroupAction:
@@ -264,8 +279,8 @@ def action_from_permutations(g: FiniteGroup, perms: Sequence[Sequence[int]]) -> 
         for j, pb in enumerate(elems):
             comp = tuple(pa[pb[x]] for x in g.elements())
             mul[i][j] = seen[comp]
-    q = _validate_group(order, mul, f"aut({g.name})[{len(perms)} gens]")
-    return _validate_action(q, g, elems)
+    q = FiniteGroup(order, mul, f"aut({g.name})[{len(perms)} gens]")
+    return GroupAction(q, g, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +327,7 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         idx = {p: i for i, p in enumerate(self.members)}
         mul = [[idx[self.parent.mul(a, b)] for b in self.members] for a in self.members]
-        return _validate_group(self.order, mul, f"{self.parent.name}^sub{list(self.members)}")
+        return FiniteGroup(self.order, mul, f"{self.parent.name}^sub{list(self.members)}")
 
 
 def generated_subgroup(g: FiniteGroup, gens: Sequence[int]) -> Subgroup:
@@ -375,7 +390,7 @@ def restrict_action(action: GroupAction, k: Subgroup) -> GroupAction:
     perms = []
     for p in action.perm:
         perms.append(tuple(k.local_index(p[k.embedding(i)]) for i in range(k.order)))
-    return _validate_action(action.q, sub, perms)
+    return GroupAction(action.q, sub, perms)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ not.  Units come first, so that run covers every pivot chosen while a +-1
 was left.  Until its end no gcd step happens: each row operation adds a
 multiple of the pivot row to another row or negates the pivot row, and each
 column operation adds a multiple of the pivot column to a column without a
-pivot.  Precondition: d_n * d_{n+1} = 0 in the ring, which
-`chains._finish_slice` checks for every built slice.  Proof: d_n[:, A] has a
+pivot.  Precondition: d_n * d_{n+1} = 0 in the ring, which every
+`ComplexSlice` checks when it is made.  Proof: d_n[:, A] has a
 left inverse L in the ring.  Over Z/p its columns are independent; over Z
 the unit-pivot prefix turns it into a signed partial permutation by
 unimodular row operations and unit-triangular column operations.  L reads

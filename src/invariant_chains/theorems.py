@@ -403,7 +403,8 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
             if img not in zs:
                 zs.append(img)
                 witnesses.append(qi)
-        assert len(zs) == m
+        if len(zs) != m:
+            raise InternalCheckError("walking Q does not reach the whole orbit")
         prod = 0
         for z in zs:
             prod = g.mul(prod, z)
@@ -457,7 +458,8 @@ def suite_divisible_relation(g: FiniteGroup, action: GroupAction,
         prod = 0
         for mem in orbit_members(action, 1, rep):
             prod = g.mul(prod, mem)
-        assert all(p[prod] == prod for p in action.perm), "orbit product must be fixed"
+        if not all(p[prod] == prod for p in action.perm):
+            raise InternalCheckError("orbit product must be fixed")
         tau_cols.append({sub.local_index(prod): 1})
     tau = SparseIntMatrix(sub.order, inv.sizes[1], tau_cols)
     ok = True

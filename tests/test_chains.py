@@ -5,6 +5,7 @@ import itertools
 import math
 import pkgutil
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -13,20 +14,20 @@ from hypothesis import strategies as st
 
 import invariant_chains
 from invariant_chains import chains
-from invariant_chains.chains import (ComplexSlice, OrbitData, _expand_orbit_boundary,
-                                     _finish_slice, _memo, _orbit_coords, bar_boundary,
+from invariant_chains.chains import (ChainMap, ComplexSlice, OrbitData,
+                                     _expand_orbit_boundary, _memo, _orbit_coords, bar_boundary,
                                      bar_complex, burnside_orbit_count,
                                      clear_caches, coinvariant_complex, commutes, dd_zero,
                                      decode_tuple, encode_tuple, estimate_build_bytes,
                                      fixed_inclusion_chain_map, invariant_complex,
                                      invariant_inclusion_chain_map, invariant_ses,
-                                     make_chain_map, norm_chain_map, orbit_members,
+                                     norm_chain_map, orbit_members,
                                      quotient_chain_map, quotient_complex_D,
                                      s1_counterexample_complex, subgroup_bar_inclusion,
                                      subgroup_invariant_inclusion, tuple_orbits)
 from invariant_chains.errors import BudgetExceededError, GroupConstructionError, \
     InternalCheckError
-from invariant_chains.groups import (_validate_group, action_from_permutations,
+from invariant_chains.groups import (FiniteGroup, action_from_permutations,
                                      generated_subgroup, make_cyclic, make_product,
                                      negation_action, parse_action_spec, parse_group_spec,
                                      trivial_action)
@@ -209,9 +210,9 @@ def test_slice_with_nonzero_dd_is_refused_at_construction():
     d1 = SparseIntMatrix.from_dense([[1, 1]])
     d2 = SparseIntMatrix.from_dense([[1], [1]])
     with pytest.raises(InternalCheckError, match=r"d \. d != 0 in broken"):
-        _finish_slice("broken", "test", 2, (1, 2, 1), (d1, d2))
+        ComplexSlice("broken", "test", 2, (1, 2, 1), (d1, d2))
     # the same boundaries compose to 0 over Z/2
-    assert dd_zero(_finish_slice("mod-2", "test", 2, (1, 2, 1), (d1, d2), modulus=2))
+    assert dd_zero(ComplexSlice("mod-2", "test", 2, (1, 2, 1), (d1, d2), modulus=2))
     # homology re-exports the one check
     assert importlib.import_module("invariant_chains.homology").dd_zero is dd_zero
 
@@ -242,7 +243,14 @@ def test_chain_maps_are_checked_for_commutation():
                                        [{r: 2 * v for r, v in col.items()}
                                         for col in mats[2].columns])
     with pytest.raises(InternalCheckError, match="broken does not commute with d at degree 2"):
-        make_chain_map("broken", norm.source, norm.target, mats)
+        ChainMap("broken", norm.source, norm.target, mats)
+    # made by hand, too: doubling f_1 on bar(Z/4) would induce 2 on H_1 = Z/4
+    bar = bar_complex(make_cyclic(4), 3)
+    mats = [SparseIntMatrix.identity(s) for s in bar.sizes]
+    mats[1] = SparseIntMatrix.diagonal([2] * bar.sizes[1])
+    with pytest.raises(InternalCheckError,
+                       match="doubled f_1 does not commute with d at degree 2"):
+        ChainMap("doubled f_1", bar, bar, mats)
 
 
 def _materialized_vanishes(terms, modulus):
@@ -342,11 +350,12 @@ def test_one_flipped_sign_in_d4_is_refused(build, size):
     d3, d4 = slc.d(3), slc.d(4)
     r, c = next((r, c) for c, col in enumerate(d4.columns) for r, v in col.items()
                 if abs(v) == size and d3.columns[r])
+    flipped = _flip(d4, r, c)
+    assert not chains._vanishes([(1, d3, flipped)], 0)
     boundaries = list(slc.boundaries)
-    boundaries[3] = _flip(d4, r, c)
-    assert not dd_zero(replace(slc, boundaries=tuple(boundaries)))
-    with pytest.raises(InternalCheckError, match=r"d \. d != 0 in broken"):
-        _finish_slice("broken", "test", slc.max_degree, slc.sizes, boundaries)
+    boundaries[3] = flipped
+    with pytest.raises(InternalCheckError, match=rf"d \. d != 0 in {re.escape(slc.name)}"):
+        replace(slc, boundaries=boundaries)
     clear_caches()
 
 
@@ -360,7 +369,7 @@ def test_one_changed_entry_of_an_inclusion_is_refused():
     mats = list(incl.mats)
     mats[3] = _flip(f3, r, c)
     with pytest.raises(InternalCheckError, match="broken does not commute with d at degree 3"):
-        make_chain_map("broken", incl.source, incl.target, mats)
+        ChainMap("broken", incl.source, incl.target, mats)
     clear_caches()
 
 
@@ -393,7 +402,10 @@ def test_dd_zero_refuses_mismatched_shapes():
     d1 = SparseIntMatrix.from_dense([[1, 1]])
     d2 = SparseIntMatrix.from_dense([[1], [1], [1]])
     with pytest.raises(ValueError, match="shape mismatch"):
-        dd_zero(ComplexSlice("bad", "test", 2, (1, 2, 3), (d1, d2)))
+        chains._vanishes([(1, d1, d2)], 0)
+    # a slice with these boundaries is refused before its d.d is checked
+    with pytest.raises(ValueError, match="d_2 has shape 3x1, expected 2x3"):
+        ComplexSlice("bad", "test", 2, (1, 2, 3), (d1, d2))
 
 
 def test_invariant_ses_requires_prime_q():
@@ -517,7 +529,7 @@ def dihedral6():
                 for f2 in range(2):
                     r = (r1 + (r2 if f1 == 0 else -r2)) % 3
                     mul[f1 * 3 + r1][f2 * 3 + r2] = ((f1 + f2) % 2) * 3 + r
-    return _validate_group(6, mul, "dihedral6")
+    return FiniteGroup(6, mul, "dihedral6")
 
 
 def conjugation_action(g):

@@ -7,7 +7,8 @@ import pytest
 
 from invariant_chains import groups
 from invariant_chains.errors import BudgetExceededError, GroupConstructionError, SpecParseError
-from invariant_chains.groups import (Subgroup, action_from_permutations,
+from invariant_chains.groups import (FiniteGroup, GroupAction, Subgroup,
+                                     action_from_permutations,
                                      coset_representatives, fixed_subgroup,
                                      generated_subgroup, inversion_action, is_q_stable,
                                      make_action, make_cyclic, make_product,
@@ -86,6 +87,27 @@ def test_make_action_valid_and_invalid():
     assert order == 4
     with pytest.raises(GroupConstructionError):
         make_action(q, z5, {1: doubling})
+
+
+def test_a_group_made_by_hand_checks_its_table():
+    # 1 has no inverse; unchecked, bar(bad) would still get homology groups
+    with pytest.raises(GroupConstructionError, match="element 1 has no two-sided inverse"):
+        FiniteGroup(2, ((0, 1), (1, 1)), "bad")
+    z3 = FiniteGroup(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]], "z3")
+    assert z3.mul_table == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert z3.inv_table == (0, 2, 1)  # derived from the table, never passed
+    with pytest.raises(TypeError):
+        FiniteGroup(3, z3.mul_table, (0, 2, 1), "z3")
+
+
+def test_an_action_made_by_hand_checks_itself():
+    # x -> 2x on Z/4 is no automorphism; unchecked, it was refused only
+    # inside invariant_complex, as an internal error
+    q, z4 = make_cyclic(2), make_cyclic(4)
+    with pytest.raises(GroupConstructionError,
+                       match=r"map is not an automorphism: image of 1\*1 mismatches"):
+        GroupAction(q, z4, ((0, 1, 2, 3), (0, 2, 1, 3)))
+    assert GroupAction(q, z4, [[0, 1, 2, 3], [0, 3, 2, 1]]) == negation_action(4)
 
 
 def test_action_homomorphism_property_exhaustive():
@@ -205,8 +227,6 @@ def test_action_spec_grammar(tmp_path):
 def test_inversion_action_requires_abelian():
     # build a tiny non-abelian group: S_3 as permutations of Z/3 won't embed
     # here, so use the dihedral table directly
-    from invariant_chains.groups import _validate_group
-
     def idx(r, f):
         return f * 3 + r
 
@@ -217,7 +237,7 @@ def test_inversion_action_requires_abelian():
                 for f2 in range(2):
                     r = (r1 + (r2 if f1 == 0 else -r2)) % 3
                     mul[idx(r1, f1)][idx(r2, f2)] = idx(r, (f1 + f2) % 2)
-    s3 = _validate_group(6, mul, "dihedral6")
+    s3 = FiniteGroup(6, mul, "dihedral6")
     assert not s3.is_abelian()
     with pytest.raises(GroupConstructionError):
         inversion_action(s3)

@@ -2,13 +2,14 @@
 and exactness reports."""
 
 import importlib
+import re
 
 import pytest
 
-from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
+from invariant_chains.chains import (ChainMap, ComplexSlice, bar_complex, clear_caches,
                                      coinvariant_complex, invariant_complex,
                                      invariant_inclusion_chain_map, invariant_ses,
-                                     fixed_inclusion_chain_map, make_chain_map, norm_chain_map,
+                                     fixed_inclusion_chain_map, norm_chain_map,
                                      quotient_complex_D, s1_counterexample_complex,
                                      subgroup_bar_inclusion)
 from invariant_chains.errors import InternalCheckError
@@ -94,15 +95,14 @@ def test_induced_identity_map():
     act = negation_action(4)
     inv = invariant_complex(act, 3)
     prof = homology(inv)
-    ident = make_chain_map("id", inv, inv,
-                           [SparseIntMatrix.identity(s) for s in inv.sizes])
+    ident = ChainMap("id", inv, inv, [SparseIntMatrix.identity(s) for s in inv.sizes])
     for deg in (1, 2):
         assert induced_map(ident, prof, prof, deg) == AbelianHom.identity(prof.group(deg))
 
 
 def test_induced_map_stays_in_the_source_ring():
     bar = bar_complex(make_cyclic(4), 3)
-    ident = make_chain_map("id", bar, bar, [SparseIntMatrix.identity(s) for s in bar.sizes])
+    ident = ChainMap("id", bar, bar, [SparseIntMatrix.identity(s) for s in bar.sizes])
     over_z, over_2, over_3 = homology(bar), homology(bar, 2), homology(bar, 3)
     with pytest.raises(ValueError, match="cannot induce from a Z/2 profile into a Z one"):
         induced_map(ident, over_2, over_z, 1)
@@ -312,15 +312,14 @@ def test_reduce_rejects_non_cycles():
 
 
 def test_boundary_that_is_not_a_cycle_is_caught():
-    # d_1 * d_2 != 0, which the builders never produce: generator data must
-    # refuse it in both rings
+    # d_1 * d_2 != 0, which the builders never produce: a slice built by hand
+    # refuses it when it is made, in both rings (unchecked, clearing skipped
+    # row 0 of d_2 and homology read H_1 = Z)
     d1 = SparseIntMatrix.from_dense([[1, 0]])
     d2 = SparseIntMatrix.from_dense([[1], [0]])
-    slc = ComplexSlice("broken", "test", 2, (1, 2, 1), (d1, d2))
     for coeff in (0, 2):
-        prof = HomologyProfile(slc, coeff)
-        with pytest.raises(InternalCheckError, match="boundary column is not a cycle"):
-            prof.generators(1)
+        with pytest.raises(InternalCheckError, match=r"d \. d != 0 in broken"):
+            ComplexSlice("broken", "test", 2, (1, 2, 1), (d1, d2), coeff)
 
 
 @pytest.mark.parametrize("mod", [0, 2])
@@ -365,24 +364,26 @@ def test_a_skipped_row_that_is_not_redundant_is_caught(monkeypatch, mod):
 # generator data on the Morse complex: each inline check catches its fault
 
 
-def test_builder_slices_skip_the_dd_guard_and_hand_built_ones_run_it(monkeypatch):
-    homology_module = importlib.import_module("invariant_chains.homology")
+def test_every_slice_and_its_morse_complex_is_checked_once(monkeypatch):
+    chains_module = importlib.import_module("invariant_chains.chains")
     checked = []
 
     def counting(slice_):
         checked.append(slice_.kind)
         return dd_zero(slice_)
 
-    monkeypatch.setattr(homology_module, "dd_zero", counting)
+    monkeypatch.setattr(chains_module, "dd_zero", counting)
+    clear_caches()
     bar = bar_complex(make_cyclic(4), 4)
-    assert bar.dd_checked
-    HomologyProfile(bar).generators(3)
-    assert checked == ["morse"]  # only the Morse complex's own check
-    checked.clear()
     by_hand = ComplexSlice("bar(Z/4)", "test", 4, bar.sizes, bar.boundaries)
-    assert not by_hand.dd_checked
-    HomologyProfile(by_hand).generators(3)
-    assert checked == ["test", "morse"]
+    assert checked == ["bar", "test"]  # each slice when it is made
+    for slc in (bar, by_hand):
+        checked.clear()
+        prof = HomologyProfile(slc)
+        prof.generators(3)
+        prof.reduce(1, prof.generators(1)[0])
+        assert checked == ["morse"]  # the Morse complex once, the slice no further
+    clear_caches()
 
 
 def test_a_lift_that_is_not_a_cycle_is_caught():
@@ -422,12 +423,24 @@ def test_psi_that_leaves_the_cycles_of_m_is_caught(monkeypatch):
         prof.reduce(2, [0] * prof.slice.sizes[2])
 
 
-def test_a_morse_complex_with_dd_nonzero_is_caught():
-    # d_1 * d_2 = 6 and no unit pivot, so M is the slice itself; the slice
-    # claims a checked d.d = 0, so only the check on M is left to see it
-    d1, d2 = SparseIntMatrix.from_dense([[2]]), SparseIntMatrix.from_dense([[3]])
-    slc = ComplexSlice("broken", "test", 2, (1, 1, 1), (d1, d2), dd_checked=True)
-    with pytest.raises(InternalCheckError, match=r"d_M \. d_M != 0 in Morse\(broken\)"):
+def test_a_morse_complex_with_dd_nonzero_is_caught(monkeypatch):
+    # a pair the pass forgets: without the first pair (a, b) of d_2 of
+    # inv(Z/4) over Z, row a of d_M at degree 2 is the unit at b, and row b
+    # of d_3, no longer skipped, stays in d_M at degree 3, so d_M . d_M != 0;
+    # M checks itself when it is made, before any presentation is compared
+    homology_module = importlib.import_module("invariant_chains.homology")
+    real = homology_module._SnfEngine
+    slc = invariant_complex(negation_action(4), 5)
+
+    def forgetful(d, *args, **kwargs):
+        eng = real(d, *args, **kwargs)
+        if d is slc.d(2):
+            eng.pairs.pop(0)
+        return eng
+
+    monkeypatch.setattr(homology_module, "_SnfEngine", forgetful)
+    with pytest.raises(InternalCheckError,
+                       match=rf"d \. d != 0 in Morse\({re.escape(slc.name)}\)"):
         HomologyProfile(slc).generators(1)
 
 

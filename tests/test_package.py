@@ -32,3 +32,13 @@ def test_the_package_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     with open(ROOT / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["dependencies"] == []
+
+
+def test_no_module_holds_an_assert_statement():
+    # `python -O` strips assert statements, so an inline check must raise
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)

@@ -10,7 +10,7 @@ from invariant_chains.chains import (_orbit_coords, _rep_table, decode_tuple, en
                                      tuple_orbits)
 from invariant_chains.errors import (EquivarianceError, GroupConstructionError,
                                      InternalCheckError)
-from invariant_chains.groups import (_coset_tables, _validate_group, coset_representatives,
+from invariant_chains.groups import (FiniteGroup, _coset_tables, coset_representatives,
                                      generated_subgroup, inversion_action, make_cyclic,
                                      make_product, negation_action, restrict_action,
                                      trivial_action, trivial_subgroup)
@@ -86,7 +86,7 @@ def dihedral6():
                 for r2 in range(3):
                     r = (r1 + (r2 if f1 == 0 else -r2)) % 3
                     mul[f1 * 3 + r1][f2 * 3 + r2] = ((f1 + f2) % 2) * 3 + r
-    return _validate_group(6, mul, "dihedral6")
+    return FiniteGroup(6, mul, "dihedral6")
 
 
 @pytest.mark.parametrize("g, gens, action", [
