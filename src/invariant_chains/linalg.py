@@ -57,15 +57,21 @@ row (a unit divides every entry), so the engine drops the row's other
 entries in one step, and a kept V receives those column operations: a
 reduction pair in the sense of Kaczynski, Mrozek and Slusarek (1998).  The
 matrix, U, U^-1, V and every later pivot are the same as with one column
-operation per entry.  Every run begins with these pairs: a heap of the
-columns with one nonzero gives the least such column; if its entry is a
-unit it is the pivot, its row is dropped, and each column whose count
-falls to 1 joins the heap.  A -1 pivot is negated by a row operation,
-which U and U^-1 record.  The pivot queue is built only over the columns
-left, so the pairs cost none of its keys, each of which a dropped row would
-otherwise have made stale.  With the rows of a cleared predecessor skipped,
-the pre-pass takes 9,156 of the 11,043 pivots of the benchmark ladder's
-eliminations over Z, Z/2, Z/3 and Z/5.
+operation per entry; in the structured Gaussian elimination of LaMacchia
+and Odlyzko (CRYPTO '90) the same step is singleton removal.  Every run
+begins with these pairs, and takes them on counts alone, before the
+working matrix exists: one pass over the input columns gives each column
+its live count and each row the columns of its live entries.  A sweep over
+the columns, merged with a heap of the columns whose counts fall to 1
+behind it, gives the least column with one live entry.  If that entry is a
+unit it is the pivot: its row is dropped, the counts of the row's other
+columns fall by one, and a -1 pivot's sign change goes to U and U^-1.  The
+working matrix and its cross index are then built from the rows left, so a
+dropped row is never loaded, and the pivot queue only over the columns
+left.  With the rows of a cleared predecessor skipped, the pre-pass takes
+9,156 of the 11,043 pivots of the benchmark ladder's eliminations over Z,
+Z/2, Z/3 and Z/5, and the rows it drops hold 191,344 of their 231,329 live
+entries.
 
 There is one sparse format: a `SparseIntMatrix` keeps one {row: value} dict
 per column, as a column-kept `_Lines` does.  So V, U^-1 and kernel bases
@@ -331,9 +337,11 @@ class _IndexedLines(_Lines):
 
     __slots__ = ("cross",)
 
-    def __init__(self, n: int, mod: int = 0):
-        super().__init__(n, mod)
-        self.cross: dict[int, dict[int, None]] = defaultdict(dict)
+    def __init__(self, lines: list[dict[int, int]], cross: dict[int, dict[int, None]],
+                 mod: int = 0):
+        self.lines = lines
+        self.mod = mod
+        self.cross = cross  # a defaultdict(dict), so that an op can open a column
 
     # line operations -----------------------------------------------------
 
@@ -410,12 +418,16 @@ class _SnfEngine:
     column order: the pivot lines in pivot order, then the other lines by
     ascending index.
 
-    Every run first lets `_take_lone_units` take the units alone in their
-    columns, before the pivot queue is built.  It changes no pivot and no
-    transform line: count 1 is the least count, so the queue would take the
-    same columns first, in the same index order, and clear each by dropping
-    its row as the pre-pass does.  No branch of a run depends on which
-    transforms it keeps.
+    A run begins in three steps.  `_count_live` reads the input columns
+    once, for each row the columns of its live entries and for each column
+    its live count; `_take_lone_units` takes the units alone in their
+    columns on those counts alone; `_load_rows` builds the working matrix
+    `ws` from the rows it left, with each of its pivots alone in its row
+    and column.  Then the pivot queue is built.  The pre-pass changes no
+    pivot and no transform line: count 1 is the least count, so the queue
+    would take the same columns first, in the same index order, and clear
+    each by dropping its row, which it does without ever loading the row.
+    No branch of a run depends on which transforms it keeps.
 
     A transform-free run may leave out `skip_rows` (never loaded; the other
     rows keep their indices), and may record its unit pivots as reduction
@@ -435,24 +447,6 @@ class _SnfEngine:
                              "U and U^-1 and V")
         self.m = m
         self.mod = mod
-        ws = self.ws = _IndexedLines(m.rows, mod)
-        lines = ws.lines
-        cross = ws.cross
-        for c, col in enumerate(m.columns):
-            # one loop per column writes the row entries and the cross index
-            # together; the stored entries of a matrix are nonzero, so only
-            # the reduction mod p can drop one
-            rows = {}
-            for r, v in col.items():
-                if mod:
-                    v %= mod
-                    if not v:
-                        continue
-                if r not in skip:
-                    lines[r][c] = v
-                    rows[r] = None
-            if rows:
-                cross[c] = rows
         # U is kept by rows, U^-1 and V by columns
         self.u = _Lines.identity(m.rows, mod) if want_u else None
         self.u_inv = _Lines.identity(m.rows, mod) if want_u_inv else None
@@ -464,6 +458,9 @@ class _SnfEngine:
         self._pivots: list[tuple[int, int]] = []
         self._inverted = (0, 0)  # the last pivot inverted over Z/p, and its inverse
         self._done = [False] * m.cols
+        self._count_live(skip)
+        self._take_lone_units()
+        self._load_rows()
         # the unit queue: a heap of keys count * cols + c, each checked
         # against the live count when it reaches the top, with `keyed[c]` the
         # count column c was last queued with.  Column ops re-key their columns at
@@ -479,7 +476,6 @@ class _SnfEngine:
         # before the next choice.  Once the queue is empty, which happens
         # only over Z, `_choose_pivot` reads the live columns off `cross`.
         self._rows_touched: set[int] = set()
-        self._take_lone_units()
         self._rebuild_queue()
         self._run()
 
@@ -603,37 +599,127 @@ class _SnfEngine:
         c = min(live)[1]
         return min((len(lines[r]), abs(lines[r][c]), r) for r in cross[c])[2], c
 
-    def _take_lone_units(self) -> None:
-        """Pivot on each unit alone in its column, least column first.
+    def _count_live(self, skip: set[int]) -> None:
+        """One pass over the input columns: for each row the columns of its
+        live entries, ascending, and for each column its live count.
 
-        A column whose count falls to 1 as a row is dropped joins the heap
-        of lone columns, so it is taken in index order with the rest, as
-        the unit queue would take it.  A lone column whose entry is not a
-        unit keeps that entry and is left to the queue.
+        An entry is live when its row is not skipped and its value is
+        nonzero in the ring; the stored entries of a matrix are nonzero, so
+        only the reduction mod p makes one zero.
         """
-        ws = self.ws
-        lines = ws.lines
-        cross = ws.cross
-        lone = [c for c, rows in cross.items() if len(rows) == 1]
-        heapq.heapify(lone)
-        while lone:
-            c0 = heapq.heappop(lone)
-            rows = cross[c0]
-            if len(rows) != 1:
-                continue  # its one row was dropped as another pivot's
-            r0 = next(iter(rows))
-            piv = lines[r0][c0]
+        m, mod = self.m, self.mod
+        live = self._live = bytearray(b"\x01") * m.rows
+        for r in skip:
+            if 0 <= r < m.rows:
+                live[r] = 0
+        row_cols: list[list[int]] = [[] for _ in range(m.rows)]
+        counts = self._counts = [0] * m.cols
+        for c, col in enumerate(m.columns):
+            n = len(col)
+            if mod:
+                for r, v in col.items():
+                    if v % mod and live[r]:
+                        row_cols[r].append(c)
+                    else:
+                        n -= 1
+            else:
+                for r in col:
+                    if live[r]:
+                        row_cols[r].append(c)
+                    else:
+                        n -= 1
+            counts[c] = n
+        self._row_cols = row_cols
+
+    def _take_lone_units(self) -> None:
+        """Pivot on each unit alone in its column, least column first, on
+        the live counts, before the working matrix exists.
+
+        A sweep over the columns finds those whose count is 1, and a heap
+        holds the columns whose counts fall to 1 behind it; the least of
+        the two comes first, as it would from the unit queue.  A lone
+        column's entry is the first live row of its input column with a
+        nonzero residue.  If it is a unit, the pivot's row is dropped: the
+        counts of its other columns fall by one, a kept V receives the
+        column operations those entries stand for, and a -1 pivot's sign
+        change goes to U and U^-1.  A lone column whose entry is not a unit
+        keeps that entry and is left to the queue.
+        """
+        columns = self.m.columns
+        mod = self.mod
+        live = self._live
+        row_cols = self._row_cols
+        counts = self._counts
+        behind: list[int] = []  # a heap of the columns that fell to 1 behind the sweep
+        sweep = 0  # every column from here on with a count of 1 is still to be examined
+        while True:
+            if behind:
+                c0 = heapq.heappop(behind)
+                if counts[c0] != 1:
+                    continue  # its one row was dropped as another pivot's
+            else:
+                try:
+                    c0 = counts.index(1, sweep)
+                except ValueError:
+                    break
+                sweep = c0 + 1
+            # the column's live entry: its first live row with a nonzero residue
+            for r0, piv in columns[c0].items():
+                if mod:
+                    piv %= mod
+                if piv and live[r0]:
+                    break
             if not self._unit(piv):
                 continue
+            live[r0] = 0
             self._done[c0] = True
             self.cleared.append(c0)
+            cols = row_cols[r0]
+            row = None  # the pivot row's live entries, read only where needed
+            if self._pair_rows or self.v is not None:
+                row = {c: columns[c][r0] % mod if mod else columns[c][r0] for c in cols}
+                if self.v is not None:
+                    self._drop_in_v(row, c0)
             if self.pairs is not None:
-                # `_drop_row` gives r0 a new dict and leaves this one as it is
-                self.pairs.append((r0, c0, piv, None, lines[r0] if self._pair_rows else None))
-            self._drop_row(r0, c0, lone)
+                self.pairs.append((r0, c0, piv, None, row))
+            for c in cols:  # c0's count falls to 0, and nothing reads it again
+                n = counts[c] - 1
+                counts[c] = n
+                if n == 1 and c < sweep:
+                    heapq.heappush(behind, c)
             if piv < 0:
-                self._row_negate(r0)
-            self._finish_pivot(r0, c0)
+                piv = -piv
+                for lines in (self.u, self.u_inv):
+                    if lines is not None:
+                        lines.negate(r0)
+            self.diag.append(piv)
+            self._pivots.append((r0, c0))
+
+    def _load_rows(self) -> None:
+        """Build the working matrix from the live rows the pre-pass left,
+        and place each pre-pass pivot u as {c0: |u|}, alone in its column.
+
+        A skipped or dropped row never gets its entries; the cross index
+        lists the rows of a column in ascending order.
+        """
+        columns = self.m.columns
+        mod = self.mod
+        live = self._live
+        lines = []
+        cross: dict[int, dict[int, None]] = defaultdict(dict)
+        for r, cols in enumerate(self._row_cols):
+            line = {}
+            if live[r]:
+                for c in cols:
+                    v = columns[c][r]
+                    line[c] = v % mod if mod else v
+                    cross[c][r] = None
+            lines.append(line)
+        for (r0, c0), piv in zip(self._pivots, self.diag):
+            lines[r0] = {c0: piv}
+            cross[c0] = {r0: None}
+        self.ws = _IndexedLines(lines, cross, mod)
+        self._live = self._row_cols = self._counts = None
 
     def _finish_pivot(self, r0: int, c0: int) -> None:
         """Record the pivot (r0, c0), whose row and column hold nothing else.
@@ -733,39 +819,41 @@ class _SnfEngine:
             if len(cross[c0]) == 1:
                 return
 
-    def _drop_row(self, r0: int, c0: int, lone: list[int] | None = None) -> None:
-        """Delete the entries of row r0 outside column c0, where a unit is alone.
+    def _drop_row(self, r0: int, c0: int) -> None:
+        """Delete the entries of row r0 outside column c0, where the queue's
+        unit pivot is alone.
 
         Each col c -= q * col c0 of the pivot-row clear would only zero the
         entry (r0, c), so the row's other entries go at once, and a kept V
         receives those column operations.  The columns whose counts fall
-        are re-keyed in the unit queue, or, given `lone` (the pre-pass,
-        before the queue is built), pushed on it when their count is 1.
+        are re-keyed in the unit queue.  The pre-pass drops its rows before
+        the working matrix is built, in `_take_lone_units`.
         """
         ws = self.ws
         cross = ws.cross
         row = ws.lines[r0]
         if self.v is not None:
-            for c, b in row.items():
-                if c != c0:
-                    self.v.axpy(c0, c, -self._quotient(b, row[c0]))
-        if lone is None:
-            ncols = self.m.cols
-            keyed = self._keyed
-            queue = self._queue
+            self._drop_in_v(row, c0)
+        ncols = self.m.cols
+        keyed = self._keyed
+        queue = self._queue
         for c in row:
             if c != c0:
                 rows = cross[c]
                 del rows[r0]
                 n = len(rows)
-                if lone is not None:
-                    if n == 1:
-                        heapq.heappush(lone, c)
-                elif n != keyed[c]:
+                if n != keyed[c]:
                     keyed[c] = n
                     if n:
                         heapq.heappush(queue, n * ncols + c)
         ws.lines[r0] = {c0: row[c0]}
+
+    def _drop_in_v(self, row: dict[int, int], c0: int) -> None:
+        """Give V the col c -= q * col c0 that each entry of row outside c0,
+        dropped where the unit row[c0] is alone in its column, stands for."""
+        for c, b in row.items():
+            if c != c0:
+                self.v.axpy(c0, c, -self._quotient(b, row[c0]))
 
     def _find_nondivisible(self, piv: int) -> int | None:
         """Row of the first entry outside the pivot lines that piv does not

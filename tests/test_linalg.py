@@ -1,5 +1,7 @@
 """Exact linear algebra: Smith form, kernels, lattice solves, presentations."""
 
+import collections
+import heapq
 import importlib
 import itertools
 import json
@@ -359,6 +361,255 @@ def test_lone_unit_pre_pass_changes_no_pivot():
     # units alone in their columns from the start or once rows are dropped
     assert taken > total // 2
     assert taken_with_transforms > 0
+
+
+class _WorkspacePrePassEngine(_SnfEngine):
+    """Reference: the lone-unit pre-pass on a fully loaded working matrix.
+
+    Every live entry goes into the row dicts and the cross index first; a
+    heap of the columns with one entry then gives the least lone column,
+    and a unit there is taken by dropping its row from the workspace one
+    entry at a time, pushing each column whose count falls to 1, negating a
+    -1 pivot's row with a row operation and finishing it as the queue would.
+    It shares no code with the engine's count pass, pre-pass or row load.
+    """
+
+    def __init__(self, m, mod=0, **kwargs):
+        self._skip = set(kwargs.get("skip_rows", ()))
+        super().__init__(m, mod, **kwargs)
+
+    def _count_live(self, skip):
+        pass
+
+    def _load_rows(self):
+        pass  # `_take_lone_units` built the working matrix before its pass
+
+    def _take_lone_units(self):
+        m, mod = self.m, self.mod
+        ws = self.ws = linalg._IndexedLines([{} for _ in range(m.rows)],
+                                            collections.defaultdict(dict), mod)
+        lines, cross = ws.lines, ws.cross
+        for c, col in enumerate(m.columns):
+            rows = {}
+            for r, v in col.items():
+                if mod:
+                    v %= mod
+                    if not v:
+                        continue
+                if r not in self._skip:
+                    lines[r][c] = v
+                    rows[r] = None
+            if rows:
+                cross[c] = rows
+        lone = [c for c, rows in cross.items() if len(rows) == 1]
+        heapq.heapify(lone)
+        while lone:
+            c0 = heapq.heappop(lone)
+            rows = cross[c0]
+            if len(rows) != 1:
+                continue
+            r0 = next(iter(rows))
+            piv = lines[r0][c0]
+            if not self._unit(piv):
+                continue
+            self._done[c0] = True
+            self.cleared.append(c0)
+            if self.pairs is not None:
+                self.pairs.append((r0, c0, piv, None, lines[r0] if self._pair_rows else None))
+            self._drop_lone_row(r0, c0, lone)
+            if piv < 0:
+                self._row_negate(r0)
+            self._finish_pivot(r0, c0)
+
+    def _drop_lone_row(self, r0, c0, lone):
+        cross = self.ws.cross
+        row = self.ws.lines[r0]
+        if self.v is not None:
+            for c, b in row.items():
+                if c != c0:
+                    self.v.axpy(c0, c, -self._quotient(b, row[c0]))
+        for c in row:
+            if c != c0:
+                rows = cross[c]
+                del rows[r0]
+                if len(rows) == 1:
+                    heapq.heappush(lone, c)
+        self.ws.lines[r0] = {c0: row[c0]}
+
+
+def engine_state(eng):
+    """Everything a run leaves: the pivots, diag, cleared columns, pairs with
+    their rows, the working lines (entry order included), the cross index
+    (as sets, without emptied columns) and the lines of U, U^-1 and V."""
+    return (eng.diag, eng._pivots, eng.cleared, eng._done, eng.pairs,
+            [list(line.items()) for line in eng.ws.lines],
+            {c: set(rows) for c, rows in eng.ws.cross.items() if rows},
+            [None if ws is None else [list(line.items()) for line in ws.lines]
+             for ws in (eng.u, eng.u_inv, eng.v)])
+
+
+class _WorkspacePrePassOnly(_WorkspacePrePassEngine):
+    """The reference, stopped where the engine has just loaded its rows."""
+
+    def _rebuild_queue(self):
+        pass
+
+    def _run(self):
+        pass
+
+
+def assert_same_state(m, mod, **kwargs):
+    """The engine's state equals the reference's once the rows are loaded,
+    before the queue could run on a wrong matrix, and at the end."""
+    loaded = engine_state(_WorkspacePrePassOnly(m, mod, **kwargs))
+
+    class Checked(_PrePassCountEngine):
+        def _load_rows(self):
+            super()._load_rows()
+            assert engine_state(self) == loaded, (m, mod, kwargs)
+
+    eng = Checked(m, mod, **kwargs)
+    assert engine_state(eng) == engine_state(_WorkspacePrePassEngine(m, mod, **kwargs)), (
+        m, mod, kwargs)
+    return eng
+
+
+def pre_pass_edge_cases():
+    """(matrix, skip_rows, what it exercises) for the count pre-pass."""
+    return [
+        # a lone 2 from the start, and one left when row 1 is dropped: over
+        # Z the queue takes them, over Z/3 they are units, over Z/2 zeros
+        (dense([[2, 1, 0], [0, 1, 1]]), (), "lone 2"),
+        (dense([[2, 0], [1, 1]]), (), "lone 2 after a drop"),
+        (dense([[-2, 0, 1], [0, 1, 1], [1, 0, 0]]), (), "lone -2"),
+        # entries that vanish mod p, first in their input columns
+        (SparseIntMatrix(3, 3, [{0: 2, 1: 1}, {0: 3, 2: 1}, {1: 6, 0: 1, 2: 5}]), (),
+         "zero residues"),
+        (dense([[4, 1], [6, 1], [1, 0]]), (), "zero residues in a lone column"),
+        # lone -1 pivots whose rows carry other entries, for V, U and U^-1
+        (dense([[-1, 2, 3], [0, 1, 0], [0, 0, -1]]), (), "lone -1"),
+        (dense([[-1, 0, 0, 5], [0, -1, 0, -4], [0, 0, -1, 2], [0, 0, 0, 1]]), (), "every -1"),
+        # a skipped row that is a column's only entry, and one that leaves a
+        # column lone
+        (dense([[1, 0], [0, 1]]), (0,), "skipped only entry"),
+        (dense([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), (0,), "skip makes a column lone"),
+        # runs whose pre-pass takes every pivot
+        (SparseIntMatrix.identity(5), (), "all pre-pass"),
+        (dense([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]]), (), "all pre-pass"),
+        # no rows, no columns, neither
+        (SparseIntMatrix.zero(0, 3), (), "0 rows"),
+        (SparseIntMatrix.zero(3, 0), (), "0 columns"),
+        (SparseIntMatrix.zero(0, 0), (), "0 x 0"),
+    ]
+
+
+def test_count_pre_pass_leaves_the_workspace_pre_pass_state():
+    transforms_kw = dict(want_u=True, want_u_inv=True, want_v=True)
+    seen = collections.Counter()
+    mats = [(m, ()) for m in queue_test_matrices()]
+    mats += [(m, skip) for m, skip, _ in pre_pass_edge_cases()]
+    for m, skip in mats:
+        for mod in (0, 2, 3, 5):
+            eng = assert_same_state(m, mod, skip_rows=skip)
+            seen["pre-pass pivots"] += eng.pre_pass
+            seen["queue pivots"] += len(eng._pivots) - eng.pre_pass
+            assert_same_state(m, mod, skip_rows=skip, pairs=True)
+            assert_same_state(m, mod, skip_rows=skip, pairs=True, pair_rows=True)
+            if not skip:
+                eng = assert_same_state(m, mod, **transforms_kw)
+                seen["-1 pivots with U"] += sum(
+                    d == 1 and eng.u.lines[k] != {r: 1} for k, ((r, _), d)
+                    in enumerate(zip(eng._pivots, eng.diag)) if k < eng.pre_pass)
+    assert min(seen.values()) > 0, seen
+
+
+def test_count_pre_pass_edge_cases():
+    for m, skip, what in pre_pass_edge_cases():
+        for mod in (0, 2, 3, 5):
+            eng = _PrePassCountEngine(m, mod, skip_rows=skip)
+            if what == "all pre-pass":
+                assert eng.pre_pass == len(eng._pivots) == min(m.rows, m.cols)
+            if what == "lone 2" and mod in (0, 2):
+                # over Z the 2 stays for the queue, over Z/2 it is no entry
+                assert (0, 0) not in eng._pivots[:eng.pre_pass]
+            if what == "lone 2" and mod == 3:
+                assert (0, 0) in eng._pivots[:eng.pre_pass]
+            if what == "skipped only entry":
+                assert eng._pivots == [(1, 1)] and eng.ws.lines[0] == {}
+            if m.rows == 0 or m.cols == 0:
+                assert eng.diag == [] and not any(eng.ws.cross.values())
+
+
+def test_chained_ladders_leave_the_workspace_pre_pass_state():
+    # transform-free runs skip the rows their predecessor cleared; pair runs
+    # skip the rows the pairs of their predecessor named, as the reduction
+    # pass of generator data does; runs with transforms skip nothing
+    for boundaries in lone_unit_ladders():
+        for mod in (0, 2, 3, 5):
+            cleared, paired = [], []
+            for d in boundaries:
+                eng = assert_same_state(d, mod, skip_rows=cleared)
+                cleared = eng.cleared
+                eng = assert_same_state(d, mod, skip_rows=paired, pairs=True,
+                                        pair_rows=True)
+                paired = [b for _, b, *_ in eng.pairs]
+                assert_same_state(d, mod, want_u=True, want_u_inv=True, want_v=True)
+
+
+def lone_unit_ladders():
+    """Chained boundaries of small complexes, lowest degree first."""
+    ladders = [z4_boundaries()]
+    ladders += [invariant_complex(negation_action(n), deg).boundaries
+                for n, deg in ((3, 6), (5, 5), (8, 4))]
+    ladders.append(coinvariant_complex(negation_action(4), 5).boundaries)
+    return ladders
+
+
+class _LoadCountEngine(_SnfEngine):
+    """The engine, recording what its working matrix holds when it is made."""
+
+    def _take_lone_units(self):
+        assert not hasattr(self, "ws")  # the pre-pass runs before any load
+        super()._take_lone_units()
+        self.pre_pass = list(zip(self._pivots, self.diag))
+        # the count the load will write is known before it starts
+        self.expected = sum(self._counts) + len(self._pivots)
+
+    def _load_rows(self):
+        super()._load_rows()
+        self.loaded = [dict(line) for line in self.ws.lines]
+
+
+def test_working_matrix_holds_only_the_rows_the_pre_pass_left():
+    # the entries written into the working matrix are the live entries of
+    # the rows the pre-pass left, plus one per pre-pass pivot: a dropped row
+    # holds its pivot and nothing else
+    total_live = total_loaded = 0
+    for boundaries in lone_unit_ladders():
+        for mod in (0, 2, 3, 5):
+            cleared = []
+            for d in boundaries:
+                skip = set(cleared)
+                eng = _LoadCountEngine(d, mod, skip_rows=skip)
+                cleared = eng.cleared
+                dropped = {r: (c, u) for (r, c), u in eng.pre_pass}
+                live = [{} for _ in range(d.rows)]
+                for c, col in enumerate(d.columns):
+                    for r, v in col.items():
+                        if r not in skip and (v % mod if mod else v):
+                            live[r][c] = v % mod if mod else v
+                for r, line in enumerate(eng.loaded):
+                    if r in dropped:
+                        c, u = dropped[r]
+                        assert line == {c: abs(u)}
+                    else:
+                        assert line == live[r]
+                kept = sum(len(live[r]) for r in range(d.rows) if r not in dropped)
+                assert sum(map(len, eng.loaded)) == kept + len(dropped) == eng.expected
+                total_live += sum(map(len, live))
+                total_loaded += kept + len(dropped)
+    # most live entries sit in the rows the pre-pass drops
+    assert total_loaded < total_live // 2
 
 
 class _SortedScanCheckEngine(_SnfEngine):
