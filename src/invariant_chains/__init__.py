@@ -23,8 +23,8 @@ from .chains import (BarTuple, ChainMap, ComplexSlice, InvariantSES, bar_boundar
                      find_equivariant_coset_reps, fixed_inclusion_chain_map,
                      invariant_complex, invariant_inclusion_chain_map, invariant_ses,
                      norm_chain_map, quotient_chain_map, quotient_complex_D,
-                     s1_counterexample_complex, subgroup_invariant_inclusion,
-                     transfer_chain_map, tuple_orbits)
+                     s1_counterexample_complex, subgroup_bar_inclusion,
+                     subgroup_invariant_inclusion, transfer_chain_map, tuple_orbits)
 from .homology import (HomologyProfile, LesNode, action_on_homology,
                        connecting_homomorphism, exactness_check, fixed_homology,
                        homology, induced_map, invariant_les, uct_crosscheck)

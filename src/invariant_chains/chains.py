@@ -12,8 +12,8 @@ Every complex and chain map, the transfer included, is assembled from index
 tables, built per call and degree and then dropped: face tables give each
 tuple index's k-th face, action tables its image under each q, transfer
 tables its image in K under each coset representative.  The tuple functions
-(`bar_boundary`, `orbit_members`, `_expand_orbit_boundary` and the tuple
-codec) are only the reference for the tests and the divisible suite.
+(`bar_boundary`, `orbit_members` and the tuple codec) are only the reference
+for the tests and the divisible suite.
 
 Each boundary column is assembled in one loop: `_face_sum` adds every face
 of every tuple of the column (one tuple, or the members of one orbit) into
@@ -452,17 +452,6 @@ def bar_complex(g: FiniteGroup, max_degree: int,
         columns = [_face_sum(faces, (col,)) for col in range(sizes[n])]
         boundaries.append(SparseIntMatrix._trusted(sizes[n - 1], sizes[n], columns))
     return ComplexSlice(f"bar({g.name})", "bar", max_degree, sizes, boundaries)
-
-
-def _expand_orbit_boundary(action: GroupAction, n: int, rep: int) -> dict[int, int]:
-    """Tuple-basis boundary of the full orbit sum of `rep`."""
-    g = action.g
-    order = g.order
-    acc: dict[int, int] = {}
-    for mem in orbit_members(action, n, rep):
-        faces = bar_boundary(g, decode_tuple(order, n, mem))
-        _accumulate(acc, ((encode_tuple(order, face), c) for face, c in faces.items()))
-    return acc
 
 
 def _orbit_coords(acc: dict[int, int], lower: OrbitData, what: str) -> dict[int, int]:

@@ -34,6 +34,10 @@ EXIT_FAILED = 1
 EXIT_BAD_SPEC = 2
 EXIT_BUDGET = 3
 
+# moduli are tested for primality by trial division, which takes about 0.1 s
+# just below this bound and grows with the square root of the modulus
+MAX_MODULUS = 2 ** 40
+
 
 def _parse_coeff(spec: str) -> int:
     spec = spec.strip()
@@ -46,6 +50,8 @@ def _parse_coeff(spec: str) -> int:
             raise SpecParseError(f"bad coefficient spec {spec!r}") from None
         if m < 2:
             raise SpecParseError("coefficient modulus must be >= 2")
+        if m >= MAX_MODULUS:
+            raise SpecParseError(f"coefficient modulus must be below 2^40, got {m}")
         return m
     raise SpecParseError(f"bad coefficient spec {spec!r} (use Z or Z/m)")
 
@@ -286,6 +292,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.coeff_a is not None and args.coeff_a >= MAX_MODULUS:
+        raise SpecParseError(f"--coeff-a must be below 2^40, got {args.coeff_a}")
     if args.coeff_a is not None and not _is_prime(args.coeff_a):
         raise SpecParseError(f"--coeff-a must be a prime, got {args.coeff_a}")
     for name in args.suites:

@@ -26,10 +26,11 @@ entry as a candidate.  Every run first takes, with no queue, every unit
 alone in its column, least column first (see below): no live column has
 fewer than one nonzero, so these are the pivots the rule picks first, in
 the same order.  After that a unit column comes from a priority queue
-keyed by (nonzero count, column index), re-keyed only for the columns whose
-counts the elementary operations since the last pivot could change, and
-checked as keys reach the top for a column that still holds a unit.  Once the queue is empty, one pass over the live columns makes
-the choice without a unit.
+keyed by (nonzero count, column index), checked as keys reach the top for a
+column that still holds a unit.  Every count an operation changes is
+re-keyed before the next choice, save after a gcd step between two rows,
+which has the queue rebuilt instead (see `_SnfEngine`).  Once the queue is
+empty, one pass over the live columns makes the choice without a unit.
 That is rare (29 of the 2,768 pivots of the benchmark ladder's integral
 eliminations), and a pivot that stays a non-unit is followed by a scan of
 the live columns for an entry it does not divide anyway, so the pass at
@@ -117,6 +118,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+from .errors import InternalCheckError
 
 Vector = Sequence[int]
 
@@ -429,6 +432,20 @@ class _SnfEngine:
     each by dropping its row, which it does without ever loading the row.
     No branch of a run depends on which transforms it keeps.
 
+    The pivot queue.  Every count an op changes is re-keyed before the next
+    choice, or the queue is marked `_stale` and rebuilt then.  A column op
+    changes only its destination column, which `_col_axpy` re-keys, and
+    `_drop_row` re-keys the columns of the row it drops.  A row op of a
+    clear adds a multiple of the pivot row r0 to another row, so it changes
+    counts only in r0's columns, and r0 stays as it is until its row clear
+    re-keys each of them, by a column op or by the drop.  The fold in `_run`
+    adds a row to r0 while r0 holds only its pivot, so each column it
+    changes is one of r0's.  Only a gcd step between rows also adds another
+    row to r0, after which a changed count may sit in a column r0 no longer
+    holds: it marks the queue stale.  That happens only over Z, at a pivot
+    that is not a unit.  A column dropped for holding no unit is queued
+    again at its next re-key, since a unit appears only where an op writes.
+
     A transform-free run may leave out `skip_rows` (never loaded; the other
     rows keep their indices), and may record its unit pivots as reduction
     pairs in `pairs` (see the module docstring).  `cleared` lists the
@@ -461,28 +478,15 @@ class _SnfEngine:
         self._count_live(skip)
         self._take_lone_units()
         self._load_rows()
-        # the unit queue: a heap of keys count * cols + c, each checked
-        # against the live count when it reaches the top, with `keyed[c]` the
-        # count column c was last queued with.  Column ops re-key their columns at
-        # once.  Row ops record their rows, and the supports of those rows
-        # are re-keyed before the next choice: every column whose count a row
-        # op changes keeps an entry in one of its recorded rows until a later
-        # op changes that count again and re-keys or records it in turn.
-        # (Collecting the columns themselves into a set that was filled and
-        # freed on every pivot raised the peak RSS by several MB.)
-        # A column the queue drops for holding no unit gets `keyed[c] = 0`,
-        # so that the column's next re-key queues it again: a +-1 appears
-        # only where an op writes, and the columns of every op are re-keyed
-        # before the next choice.  Once the queue is empty, which happens
-        # only over Z, `_choose_pivot` reads the live columns off `cross`.
-        self._rows_touched: set[int] = set()
+        # the unit queue: keys count * cols + c, checked at the top against
+        # the live count; `keyed[c]` is the count c was last queued with, 0
+        # once c is dropped for holding no unit (see "The pivot queue" above)
         self._rebuild_queue()
         self._run()
 
     # elementary ops with transform and pivot-queue bookkeeping ----------
 
     def _row_axpy(self, src, dst, k):
-        self._rows_touched.add(src)
         self.ws.axpy(src, dst, k)
         if self.u is not None:
             self.u.axpy(src, dst, k)
@@ -544,7 +548,7 @@ class _SnfEngine:
                 heapq.heappush(self._queue, n * self.m.cols + c)
 
     def _rebuild_queue(self) -> None:
-        """One key per column without a pivot and with a nonzero count, nothing recorded."""
+        """One key per column without a pivot and with a nonzero count."""
         ncols = self.m.cols
         done = self._done
         keyed = [0] * ncols
@@ -556,7 +560,7 @@ class _SnfEngine:
         heapq.heapify(queue)
         self._queue = queue
         self._keyed = keyed
-        self._rows_touched.clear()
+        self._stale = False
 
     def _choose_pivot(self) -> tuple[int, int] | None:
         ws = self.ws
@@ -564,19 +568,10 @@ class _SnfEngine:
         cross = ws.cross
         ncols = self.m.cols
         done = self._done
-        if len(self._queue) > 2 * ncols:
-            self._rebuild_queue()  # which also clears the recorded rows
+        if self._stale or len(self._queue) > 2 * ncols:
+            self._rebuild_queue()
         keyed = self._keyed
         queue = self._queue
-        for r in self._rows_touched:
-            for c in lines[r]:
-                if done[c]:
-                    continue
-                n = len(cross[c])
-                if n != keyed[c]:
-                    keyed[c] = n
-                    heapq.heappush(queue, n * ncols + c)
-        self._rows_touched.clear()
         # the live column of least key that holds a unit, and in it the unit
         # of least (row length, magnitude, row index).  Entries over Z/p lie
         # in 1..p-1, so all are units.
@@ -802,10 +797,17 @@ class _SnfEngine:
                 if q is not None:
                     self._row_axpy(r0, r, -q)
                 else:
+                    # it adds row r to row r0 too, which nothing re-keys
                     self._gcd_step(r0, r, a, b, self._row_axpy, self._row_negate)
+                    self._stale = True
+            # a quotient leaves 0 and a gcd step leaves 0 in row r, so only an
+            # entry that is 0 in the ring can stay
+            if len(cross[c0]) != 1:
+                raise InternalCheckError(
+                    f"pivot column {c0} keeps {len(cross[c0]) - 1} other rows after its clear")
             # clear row r0 with col ops; a gcd step may refill column c0
             row = ws.lines[r0]
-            if len(cross[c0]) == 1 and self._unit(row[c0]):
+            if self._unit(row[c0]):
                 self._drop_row(r0, c0)
                 return
             for c in sorted(c for c in row if c != c0):
@@ -957,10 +959,6 @@ def kernel_basis(m: SparseIntMatrix) -> SparseIntMatrix:
     return ColumnEchelon(m).kernel_matrix()
 
 
-def rank_z(m: SparseIntMatrix) -> int:
-    return len(invariant_factors(m))
-
-
 def solve_in_lattice(m: SparseIntMatrix, b: Vector) -> list[int] | None:
     """Return x with m*x = b if b lies in the column lattice of m, else None."""
     return ColumnEchelon(m).solve(b)
@@ -970,40 +968,20 @@ def solve_in_lattice(m: SparseIntMatrix, b: Vector) -> list[int] | None:
 # finitely generated abelian groups
 
 
-def _factorint(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors_from_orders(orders: Iterable[int]) -> tuple[int, ...]:
-    """Canonical divisibility chain for a direct sum of finite cyclic groups."""
-    by_prime: dict[int, list[int]] = defaultdict(list)
+    """Canonical divisibility chain for a direct sum of finite cyclic groups.
+
+    Each order is folded into the chain by gcd and lcm, which for every
+    prime sorts its exponent in among those of the chain.
+    """
+    chain: list[int] = []
     for d in orders:
-        if d in (0, 1):
-            if d == 0:
-                raise ValueError("order 0 is not a finite cyclic order")
-            continue
-        for p, e in _factorint(d).items():
-            by_prime[p].append(e)
-    width = max((len(v) for v in by_prime.values()), default=0)
-    factors = []
-    for j in range(width):
-        f = 1
-        for p, exps in by_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if j < len(exps_sorted):
-                f *= p ** exps_sorted[j]
-        factors.append(f)
-    factors.reverse()  # increasing divisibility chain
-    return tuple(factors)
+        if d < 1:
+            raise ValueError(f"order {d} is not a finite cyclic order")
+        for i, c in enumerate(chain):
+            chain[i], d = math.gcd(c, d), math.lcm(c, d)
+        chain.append(d)
+    return tuple(c for c in chain if c != 1)
 
 
 class FgAbelianGroup:

@@ -7,23 +7,39 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 
 import time
 
-from invariant_chains.chains import (bar_complex, coinvariant_complex,
-                                     find_equivariant_coset_reps,
+from invariant_chains import chains
+from invariant_chains.chains import (_orbit_coords, bar_boundary, bar_complex,
+                                     coinvariant_complex, dd_zero, decode_tuple,
+                                     encode_tuple, find_equivariant_coset_reps,
                                      invariant_complex, invariant_inclusion_chain_map,
-                                     invariant_ses, norm_chain_map,
+                                     invariant_ses, norm_chain_map, orbit_members,
                                      s1_counterexample_complex,
                                      subgroup_invariant_inclusion, transfer_chain_map,
                                      tuple_orbits)
 from invariant_chains.groups import (generated_subgroup, make_cyclic, negation_action,
                                      trivial_subgroup)
-from invariant_chains.homology import (dd_zero, exactness_check, fixed_homology,
+from invariant_chains.homology import (exactness_check, fixed_homology,
                                        homology, induced_map, invariant_les,
                                        uct_crosscheck)
-from invariant_chains.linalg import (AbelianHom, FgAbelianGroup, kernel_of_hom,
-                                     rank_z)
+from invariant_chains.linalg import (AbelianHom, FgAbelianGroup, invariant_factors,
+                                     kernel_of_hom)
 from invariant_chains.theorems import truncated_integer_h1
 
 Z = FgAbelianGroup(1, ())
+
+
+def rank_z(m):
+    return len(invariant_factors(m))
+
+
+def expand_orbit_boundary(action, n, rep):
+    """Tuple-basis boundary of the full orbit sum of `rep`, tuple by tuple."""
+    order = action.g.order
+    acc = {}
+    for mem in orbit_members(action, n, rep):
+        faces = bar_boundary(action.g, decode_tuple(order, n, mem))
+        chains._accumulate(acc, ((encode_tuple(order, face), c) for face, c in faces.items()))
+    return acc
 
 
 def G(*orders):
@@ -227,12 +243,11 @@ def test_criterion_10_engine_cross_checks():
     for n in (4, 6):
         action = negation_action(n)
         inv = invariant_complex(action, 3)
-        from invariant_chains.chains import _expand_orbit_boundary, _orbit_coords
         for deg in (2, 3):
             data = tuple_orbits(action, deg)
             lower = tuple_orbits(action, deg - 1)
             for pos, rep in enumerate(data.reps):
-                acc = _expand_orbit_boundary(action, deg, rep)
+                acc = expand_orbit_boundary(action, deg, rep)
                 _orbit_coords(acc, lower, "acceptance")  # raises on violation
         # norm injectivity: full column rank in every degree
         nm = norm_chain_map(action, 3)

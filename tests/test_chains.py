@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import invariant_chains
 from invariant_chains import chains
 from invariant_chains.chains import (ChainMap, ComplexSlice, OrbitData,
-                                     _expand_orbit_boundary, _memo, _orbit_coords, bar_boundary,
+                                     _memo, _orbit_coords, bar_boundary,
                                      bar_complex, burnside_orbit_count,
                                      clear_caches, coinvariant_complex, commutes, dd_zero,
                                      decode_tuple, encode_tuple, estimate_build_bytes,
@@ -33,6 +33,16 @@ from invariant_chains.groups import (FiniteGroup, action_from_permutations,
                                      trivial_action)
 from invariant_chains.homology import homology
 from invariant_chains.linalg import SparseIntMatrix, smith_normal_form
+
+
+def expand_orbit_boundary(action, n, rep):
+    """Tuple-basis boundary of the full orbit sum of `rep`, tuple by tuple."""
+    order = action.g.order
+    acc = {}
+    for mem in orbit_members(action, n, rep):
+        faces = bar_boundary(action.g, decode_tuple(order, n, mem))
+        chains._accumulate(acc, ((encode_tuple(order, face), c) for face, c in faces.items()))
+    return acc
 
 
 def apply_tuple(action, qi, t):
@@ -576,7 +586,7 @@ def test_index_tables_agree_with_the_tuple_path(make):
         bar_cols = [{encode_tuple(order, f): v
                      for f, v in bar_boundary(g, decode_tuple(order, n, i)).items()}
                     for i in range(order ** n)]
-        inv_cols = [_orbit_coords(_expand_orbit_boundary(act, n, rep), lower, "test")
+        inv_cols = [_orbit_coords(expand_orbit_boundary(act, n, rep), lower, "test")
                     for rep in data[n].reps]
         coinv_cols = []
         for rep in data[n].reps:
@@ -636,8 +646,8 @@ def test_table_builders_on_random_perm_actions(act):
         assert (data[n].reps, data[n].sizes, data[n].orbit_of) == tuple_path_orbits(act, n)
         assert data[n].count == burnside_orbit_count(act, n)
     for n in range(1, top + 1):
-        assert inv.d(n).columns == [_orbit_coords(_expand_orbit_boundary(act, n, rep),
-                                                  data[n - 1], "test")
+        assert inv.d(n).columns == [_orbit_coords(expand_orbit_boundary(act, n, rep),
+                                                 data[n - 1], "test")
                                     for rep in data[n].reps]
     triv = trivial_action(g)
     assert homology(invariant_complex(triv, top)).rows() == homology(bar_complex(g, top)).rows()

@@ -153,6 +153,12 @@ def test_bad_specs_exit_2(capsys):
                  # Z/2 does not invert |Q| = 2, so the structure claims do not apply
                  ["verify", "structure", "--group", "cyclic:4", "--coeff-a", "2",
                   "--max-degree", "3"],
+                 # moduli of 2^40 and more, refused before a trial division
+                 # that would not end
+                 ["compute", "--group", "cyclic:3", "--coeff",
+                  "Z/618970019642690137449562111"],
+                 ["verify", "structure", "--group", "cyclic:5", "--coeff-a",
+                  "618970019642690137449562111"],
                  ["compute", "--group", "cyclic:4", "--memory-budget=0"],
                  ["compute", "--group", "cyclic:4", "--memory-budget=-1G"],
                  # counts with more digits than an int prints by default: 3^10001

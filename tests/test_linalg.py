@@ -7,6 +7,8 @@ import itertools
 import json
 import math
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 import sympy
@@ -17,6 +19,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from invariant_chains import linalg
 from invariant_chains.chains import (ComplexSlice, bar_complex, clear_caches,
                                      coinvariant_complex, invariant_complex, invariant_ses)
+from invariant_chains.errors import InternalCheckError
 from invariant_chains.groups import inversion_action, make_cyclic, negation_action
 from invariant_chains.homology import HomologyProfile, exactness_check, homology, invariant_les
 from invariant_chains.linalg import (AbelianHom, ColumnEchelon, FgAbelianGroup,
@@ -41,6 +44,21 @@ def z4_boundaries():
     """The boundaries of the invariant complex of negation on Z/4, degrees 1-4."""
     ladder = invariant_complex(inversion_action(make_cyclic(4)), 4)
     return [ladder.d(n) for n in range(1, 5)]
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, when the block runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def full_engine(cls, m, mod):
@@ -187,8 +205,9 @@ def queue_test_matrices():
     rng = random.Random(6)
     # larger entries, so that gcd steps make units again after none is left.
     # In the first, a column dropped for holding no unit gets one back while
-    # its count is the same again; in the second, a row op changes the count
-    # of a unit column that only the rows recorded for re-keying reach.
+    # its count is the same again; in the second, a row gcd step changes the
+    # count of a unit column that no re-key reaches, so only the rebuild of
+    # the stale queue keeps the choice right.
     mats = [dense([[0, 0, 0, 0, 0], [0, -6, 0, 0, -1], [0, 0, -2, 0, 0], [-6, 0, 3, 0, 5],
                    [-4, 6, 0, -5, 3], [-4, 5, -2, 2, 1]]),
             dense([[0, 5, -3, 1, 0, 0], [-4, 0, 0, 0, -3, 5], [0, 0, 0, 0, -4, 0],
@@ -261,6 +280,50 @@ def test_unit_pivot_queue_matches_linear_scan():
             assert cleared == [c for _, c, _ in pivots[:lead]]
             returned += sum(units[lead:])
     assert returned > 0
+
+
+class _StaleCountEngine(_SnfEngine):
+    """The engine, counting the queue rebuilds made because the queue was stale."""
+
+    stale_rebuilds = 0
+
+    def _rebuild_queue(self):
+        if getattr(self, "_stale", False):
+            self.stale_rebuilds += 1
+        super()._rebuild_queue()
+
+
+def test_only_a_row_gcd_step_makes_the_queue_stale():
+    # a row gcd step adds another row to the pivot row, which can change a
+    # count that no re-key reaches: it happens only over Z, at a pivot that
+    # is not a unit
+    rebuilds = collections.Counter()
+    for m in queue_test_matrices():
+        for mod in (0, 2, 3, 5):
+            for eng in (_StaleCountEngine(m, mod), full_engine(_StaleCountEngine, m, mod)):
+                rebuilds[mod] += eng.stale_rebuilds
+                if len(eng.cleared) == len(eng.diag):  # every pivot a unit when chosen
+                    assert eng.stale_rebuilds == 0, (m, mod)
+    assert rebuilds[0] > 0
+    assert rebuilds[2] == rebuilds[3] == rebuilds[5] == 0
+
+
+class _ZeroResidueEngine(_SnfEngine):
+    """The engine with a row of entries = 0 mod 3 in both columns of its
+    working matrix, as row 2."""
+
+    def _load_rows(self):
+        super()._load_rows()
+        self.ws.lines[2] = {0: 3, 1: 3}
+        for c in (0, 1):
+            self.ws.cross[c][2] = None
+
+
+def test_a_zero_residue_in_the_working_matrix_raises():
+    # its quotient by the pivot is 0, so no row op moves it out of the pivot
+    # column: the clear must raise instead of repeating itself
+    with deadline(5), pytest.raises(InternalCheckError):
+        _ZeroResidueEngine(dense([[1, 1], [1, 2], [0, 0]]), 3)
 
 
 class _AxpyRowClearEngine(_NoPrePassEngine):
@@ -757,6 +820,18 @@ def test_invariant_factors_from_orders():
     assert invariant_factors_from_orders([2, 4, 3]) == (2, 12)
     assert invariant_factors_from_orders([]) == ()
     assert invariant_factors_from_orders([1, 1]) == ()
+    # 2 * (2^89 - 1): no factoring, whose trial division would not end
+    mersenne = 2 ** 89 - 1
+    with deadline(1):
+        assert invariant_factors_from_orders([2 * mersenne, 4]) == (2, 4 * mersenne)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.integers(1, 720), max_size=7))
+def test_invariant_factors_from_orders_match_the_smith_form(orders):
+    # the non-unit invariant factors of the diagonal matrix of the orders
+    assert invariant_factors_from_orders(orders) == tuple(
+        d for d in invariant_factors(SparseIntMatrix.diagonal(orders)) if d != 1)
 
 
 def test_hom_examples():

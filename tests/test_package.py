@@ -42,3 +42,22 @@ def test_no_module_holds_an_assert_statement():
         lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert not lines, (path.name, lines)
+
+
+def test_every_module_level_definition_is_used_or_exported():
+    # src/ holds what the package runs: a function or class that no module
+    # reads and `__init__` does not export belongs in the tests that use it.
+    # A name some module imports counts as read, `__init__`'s exports included.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = [(name, node.name) for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used]
+    assert not unused
